@@ -59,11 +59,27 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def worker_count(threads: int, n_jobs: int) -> int:
+    """Worker processes to start: --threads, capped by jobs and CPUs."""
+    return max(1, min(threads, n_jobs, os.cpu_count() or 1))
+
+
 def _pmap(fn, jobs, threads: int):
-    if threads <= 1 or len(jobs) <= 1:
+    workers = worker_count(threads, len(jobs))
+    if workers == 1:
         return [fn(job) for job in jobs]
-    chunk = max(1, len(jobs) // (threads * 4))
-    with ProcessPoolExecutor(max_workers=threads) as pool:
+    chunk = max(1, len(jobs) // (workers * 4))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, jobs, chunksize=chunk))
 
 
@@ -302,8 +318,9 @@ def cmd_rho(args) -> int:
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, default=0, help="master random seed")
-    sub.add_argument("--threads", type=int, default=1,
-                     help="worker bound; never affects output bytes")
+    sub.add_argument("--threads", type=_positive_int, default=1,
+                     help="worker bound (>= 1, capped by CPUs and graphs); "
+                          "never affects output bytes")
     sub.add_argument("--out", default=".", help="output directory")
 
 

@@ -81,8 +81,8 @@ def embed_graph_stats(
     for trace in sample_all(graph, params, run_offset):
         if trace.dead_end:
             dead_ends += 1
-        for graphlet in trace.graphlets[min_edges - 1 :]:
-            counts[hash_code(graphlet, fn).key] += 1
+        for step in trace.steps[min_edges - 1 :]:
+            counts[hash_code(step, fn).key] += 1
             emitted += 1
     return dict(counts), dead_ends, emitted
 

@@ -42,6 +42,17 @@ def edge_key(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
+def adjacency_lists(
+    n_nodes: int, edges: Iterable[tuple[int, int]]
+) -> tuple[tuple[int, ...], ...]:
+    """Sorted neighbour tuple of each node 0..n_nodes-1."""
+    nbrs: list[list[int]] = [[] for _ in range(n_nodes)]
+    for u, v in edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    return tuple(tuple(sorted(ns)) for ns in nbrs)
+
+
 def count_components(n_nodes: int, edges: Iterable[tuple[int, int]]) -> int:
     """Number of connected components, via union-find."""
     parent = list(range(n_nodes))
@@ -83,11 +94,7 @@ class Graph:
 
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        nbrs: list[list[int]] = [[] for _ in range(self.n_nodes)]
-        for u, v in self.edges:
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-        return tuple(tuple(sorted(ns)) for ns in nbrs)
+        return adjacency_lists(self.n_nodes, self.edges)
 
     @cached_property
     def edge_index(self) -> dict[tuple[int, int], int]:
@@ -154,11 +161,7 @@ class Graphlet:
 
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        nbrs: list[list[int]] = [[] for _ in range(self.n_nodes)]
-        for u, v in self.edges:
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-        return tuple(tuple(sorted(ns)) for ns in nbrs)
+        return adjacency_lists(self.n_nodes, self.edges)
 
     @cached_property
     def edge_label_map(self) -> dict[tuple[int, int], str]:

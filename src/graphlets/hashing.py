@@ -17,6 +17,7 @@ label fields empty for unlabelled graphlets.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -24,6 +25,7 @@ from itertools import combinations
 from typing import Mapping, Sequence
 
 from .graphs import Graphlet
+from .sampling import Step
 
 HASH_FUNCTIONS = ("degree", "core", "clustering", "betweenness")
 AUTO_THRESHOLD = 4  # auto: degree up to 4 edges, betweenness beyond
@@ -92,40 +94,44 @@ def betweenness_values(g: Graphlet) -> list[Fraction]:
 
     Sum over ordered node pairs (s, t), s != t, excluding the node
     itself, of sigma_st(v) / sigma_st, where sigma counts shortest
-    paths; distances and path counts come from all-pairs BFS.
+    paths. Computed by Brandes' dependency accumulation in integers:
+    for each source s, with L the lcm of its sigma values, A(w) =
+    L / sigma_w + sum of A over w's BFS successors, and the dependency
+    of s on v is sigma_v * (sum of A over v's successors) / L. The
+    sources' dependencies are summed over the lcm of their L.
     """
     n = g.n_nodes
     adj = g.adjacency
-    INF = n + 1
-    dist = [[INF] * n for _ in range(n)]
-    sigma = [[0] * n for _ in range(n)]
+    per_source: list[tuple[int, list[int]]] = []  # (L, dependency numerators)
     for s in range(n):
-        dist[s][s] = 0
-        sigma[s][s] = 1
-        queue = [s]
-        while queue:
-            nxt: list[int] = []
-            for u in queue:
-                for w in adj[u]:
-                    if dist[s][w] == INF:
-                        dist[s][w] = dist[s][u] + 1
-                        nxt.append(w)
-                    if dist[s][w] == dist[s][u] + 1:
-                        sigma[s][w] += sigma[s][u]
-            queue = nxt
-    btw = [Fraction(0)] * n
-    for s in range(n):
-        for t in range(n):
-            if s == t:
-                continue
-            st = sigma[s][t]
-            d_st = dist[s][t]
-            for v in range(n):
-                if v == s or v == t:
-                    continue
-                if dist[s][v] + dist[v][t] == d_st:
-                    btw[v] += Fraction(sigma[s][v] * sigma[v][t], st)
-    return btw
+        dist = [-1] * n
+        sigma = [0] * n
+        dist[s] = 0
+        sigma[s] = 1
+        reached = [s]  # BFS order, by nondecreasing distance
+        for u in reached:
+            for w in adj[u]:
+                if dist[w] < 0:
+                    dist[w] = dist[u] + 1
+                    reached.append(w)
+                if dist[w] == dist[u] + 1:
+                    sigma[w] += sigma[u]
+        lcm = math.lcm(*(sigma[w] for w in reached))
+        succ_sum = [0] * n
+        for w in reversed(reached[1:]):
+            a = lcm // sigma[w] + succ_sum[w]
+            for v in adj[w]:
+                if dist[v] == dist[w] - 1:
+                    succ_sum[v] += a
+        succ_sum[s] = 0  # paths from s do not pass through s
+        per_source.append((lcm, [sigma[v] * succ_sum[v] for v in range(n)]))
+    den = math.lcm(*(lcm for lcm, _ in per_source))
+    num = [0] * n
+    for lcm, deps in per_source:
+        scale = den // lcm
+        for v in range(n):
+            num[v] += deps[v] * scale
+    return [Fraction(x, den) for x in num]
 
 
 _VALUE_FUNCTIONS = {
@@ -226,8 +232,12 @@ def _hash_code_cached(
     return HashCode(len(edges), fn, topo_key, node_label_key, edge_label_key)
 
 
-def hash_code(g: Graphlet, fn: str = "auto") -> HashCode:
-    """Permutation-invariant code for a graphlet under a hash function."""
+def hash_code(g: Graphlet | Step, fn: str = "auto") -> HashCode:
+    """Permutation-invariant code for a graphlet under a hash function.
+
+    Accepts a ``Graphlet`` or a sampler ``Step``; only the local
+    structure and labels are read.
+    """
     resolved = resolve_hash_function(fn, g.n_edges)
     return _hash_code_cached(resolved, g.n_nodes, g.edges, g.node_labels, g.edge_labels)
 

@@ -2,11 +2,15 @@
 
 Each run performs a walk of up to ``max_edges`` steps over a graph:
 starting from a uniformly chosen node, every step adds exactly one new
-edge incident to the already-visited node set and snapshots the grown
-subgraph. A run therefore yields one connected graphlet per edge count
-1..t_end. Runs are mutually independent and fully reproducible: the
-random stream of a run is derived only from (seed, graph id, run
-index), so results never depend on scheduling or thread count.
+edge incident to the already-visited node set. The graphlet after step
+k is the walk's first k edges, re-indexed to local nodes in visiting
+order, so a run yields one connected graphlet per edge count 1..t_end.
+The sampler keeps the local edges sorted as the walk grows and records
+each step as a plain ``Step`` (node count, sorted local edges, labels);
+full ``Graphlet`` objects are built only on request. Runs are mutually
+independent and fully reproducible: the random stream of a run is
+derived only from (seed, graph id, run index), so results never depend
+on scheduling or thread count.
 """
 
 from __future__ import annotations
@@ -14,7 +18,10 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 from .graphs import Graph, Graphlet, edge_key
 
@@ -74,13 +81,45 @@ class SamplerParams:
             raise ValueError("seed must be a nonnegative integer")
 
 
+class Step(NamedTuple):
+    """The graphlet after one walk step, over local nodes 0..n_nodes-1.
+
+    ``edges`` are sorted local ``(u, v)`` pairs with ``u < v``; labels,
+    when the parent graph has them, are aligned with the local nodes
+    and with ``edges``. It carries what ``hashing.hash_code`` reads.
+    """
+
+    n_nodes: int
+    edges: tuple[tuple[int, int], ...]
+    node_labels: tuple[str, ...] | None
+    edge_labels: tuple[str, ...] | None
+
+    @property
+    def n_edges(self) -> int:
+        return len(self.edges)
+
+
 @dataclass(frozen=True)
 class RunTrace:
-    """Snapshots of one walk: graphlet i has i+1 edges; dead_end is set
-    when the walk stopped before exhausting its edge budget."""
+    """One walk: step i holds the graphlet with i+1 edges.
 
-    graphlets: tuple[Graphlet, ...]
+    ``order`` lists the parent-graph node behind each local node, so
+    step i covers parent nodes ``order[:steps[i].n_nodes]``. dead_end is
+    set when the walk stopped before exhausting its edge budget.
+    """
+
+    order: tuple[int, ...]
+    steps: tuple[Step, ...]
     dead_end: bool
+
+    @cached_property
+    def graphlets(self) -> tuple[Graphlet, ...]:
+        """The steps as ``Graphlet`` snapshots carrying ``parent_nodes``."""
+        return tuple(
+            Graphlet(s.n_nodes, s.edges, s.node_labels, s.edge_labels,
+                     self.order[: s.n_nodes])
+            for s in self.steps
+        )
 
 
 def run_rng(seed: int, graph_id: str, run_index: int) -> random.Random:
@@ -90,37 +129,16 @@ def run_rng(seed: int, graph_id: str, run_index: int) -> random.Random:
     return random.Random(int.from_bytes(digest, "big"))
 
 
-def _snapshot(graph: Graph, order: list[int], local: dict[int, int],
-              walk_edges: list[tuple[int, int]]) -> Graphlet:
-    loc_edges = sorted(edge_key(local[a], local[b]) for a, b in walk_edges)
-    node_labels = None
-    if graph.node_labels is not None:
-        node_labels = tuple(graph.node_labels[p] for p in order)
-    edge_labels = None
-    if graph.edge_labels is not None:
-        by_local = {
-            edge_key(local[a], local[b]): graph.edge_label(a, b)
-            for a, b in walk_edges
-        }
-        edge_labels = tuple(by_local[e] for e in loc_edges)  # type: ignore[misc]
-    return Graphlet(
-        n_nodes=len(order),
-        edges=tuple(loc_edges),
-        node_labels=node_labels,
-        edge_labels=edge_labels,
-        parent_nodes=tuple(order),
-    )
-
-
 def sample_run(graph: Graph, params: SamplerParams, run_index: int) -> RunTrace:
-    """Execute one walk and return its per-size graphlet snapshots.
+    """Execute one walk and return its per-size graphlet steps.
 
     At each step the eligible set holds every visited node that still
-    has an unvisited incident edge. With probability alpha the walk
-    continues from the current frontier node (when eligible); otherwise
-    a node is drawn uniformly from the eligible set. The next edge is
-    drawn uniformly among that node's unvisited incident edges. The
-    walk stops early when the eligible set empties.
+    has an unvisited incident edge, in visiting order. With probability
+    alpha the walk continues from the current frontier node (when
+    eligible); otherwise a node is drawn uniformly from the eligible
+    set. The next edge is drawn uniformly among that node's unvisited
+    incident edges, in adjacency order. The walk stops early when the
+    eligible set empties.
     """
     if graph.n_edges == 0:
         raise ValueError(f"graph {graph.id!r} has no edges; cannot sample graphlets")
@@ -128,39 +146,60 @@ def sample_run(graph: Graph, params: SamplerParams, run_index: int) -> RunTrace:
         raise ValueError("run_index must be nonnegative")
     rng = run_rng(params.seed, graph.id, run_index)
     adj = graph.adjacency
+    node_labels = graph.node_labels
 
     start = rng.randrange(graph.n_nodes)
     order = [start]
     local = {start: 0}
-    residual = {start: len(adj[start])}  # unvisited incident edges per visited node
-    visited_edges: set[tuple[int, int]] = set()
-    walk_edges: list[tuple[int, int]] = []
+    # Neighbours across the still unvisited edges of each visited node,
+    # in adjacency order, and the visited nodes that have any, in
+    # visiting order: the two lists the random draws index into.
+    unvisited = {start: list(adj[start])}
+    eligible = [start] if adj[start] else []
+    loc_nodes = [node_labels[start]] if node_labels is not None else None
+    loc_edges: list[tuple[int, int]] = []  # kept sorted
+    loc_edge_labels: list[str] | None = [] if graph.edge_labels is not None else None
     frontier = start
-    snaps: list[Graphlet] = []
+    steps: list[Step] = []
 
     for _ in range(params.max_edges):
-        eligible = [w for w in order if residual[w] > 0]
         if not eligible:
             break
-        if residual[frontier] > 0 and rng.random() < params.alpha:
+        if unvisited[frontier] and rng.random() < params.alpha:
             u = frontier
         else:
             u = eligible[rng.randrange(len(eligible))]
-        candidates = [w for w in adj[u] if edge_key(u, w) not in visited_edges]
+        candidates = unvisited[u]
         v = candidates[rng.randrange(len(candidates))]
 
-        visited_edges.add(edge_key(u, v))
-        walk_edges.append((u, v))
         if v not in local:
             local[v] = len(order)
             order.append(v)
-            residual[v] = len(adj[v])
-        residual[u] -= 1
-        residual[v] -= 1
+            unvisited[v] = list(adj[v])
+            eligible.append(v)
+            if loc_nodes is not None:
+                loc_nodes.append(node_labels[v])  # type: ignore[index]
+        candidates.remove(v)
+        unvisited[v].remove(u)
+        if not candidates:
+            eligible.remove(u)
+        if not unvisited[v]:
+            eligible.remove(v)
         frontier = v
-        snaps.append(_snapshot(graph, order, local, walk_edges))
 
-    return RunTrace(tuple(snaps), dead_end=len(snaps) < params.max_edges)
+        e = edge_key(local[u], local[v])
+        i = bisect_left(loc_edges, e)
+        loc_edges.insert(i, e)
+        if loc_edge_labels is not None:
+            loc_edge_labels.insert(i, graph.edge_label(u, v))  # type: ignore[arg-type]
+        steps.append(Step(
+            len(order),
+            tuple(loc_edges),
+            tuple(loc_nodes) if loc_nodes is not None else None,
+            tuple(loc_edge_labels) if loc_edge_labels is not None else None,
+        ))
+
+    return RunTrace(tuple(order), tuple(steps), dead_end=len(steps) < params.max_edges)
 
 
 def sample_all(graph: Graph, params: SamplerParams, run_offset: int = 0) -> list[RunTrace]:

@@ -1,14 +1,18 @@
 """Brute-force reference implementations.
 
-These deliberately avoid the algorithms used by the package (BFS path
-counting, degeneracy peeling, walk simulation) so that expected values
-in tests come from an independent route.
+Most of these deliberately avoid the algorithms used by the package
+(BFS path counting, degeneracy peeling, walk simulation) so that
+expected values in tests come from an independent route. The last two
+are the package's former straightforward implementations of
+betweenness and of the walk sampler, kept as references that the
+faster replacements must match exactly.
 """
 
 from fractions import Fraction
 from itertools import combinations
 
 from graphlets.graphs import Graphlet, edge_key
+from graphlets.sampling import run_rng
 
 
 def flood_fill_components(n_nodes, edges):
@@ -150,3 +154,100 @@ def enumerate_walk_size_sequences(graph, max_edges):
     for start in range(graph.n_nodes):
         step([start], frozenset(), 0)
     return results
+
+
+def betweenness_all_pairs(g: Graphlet):
+    """Betweenness from all-pairs BFS distances and path counts.
+
+    Sum over ordered node pairs (s, t), s != t, excluding the node
+    itself, of sigma_st(v) / sigma_st, credited to every v with
+    d(s, v) + d(v, t) = d(s, t). This is the package's former
+    implementation, kept as the reference for its Brandes replacement.
+    """
+    n = g.n_nodes
+    adj = g.adjacency
+    INF = n + 1
+    dist = [[INF] * n for _ in range(n)]
+    sigma = [[0] * n for _ in range(n)]
+    for s in range(n):
+        dist[s][s] = 0
+        sigma[s][s] = 1
+        queue = [s]
+        while queue:
+            nxt = []
+            for u in queue:
+                for w in adj[u]:
+                    if dist[s][w] == INF:
+                        dist[s][w] = dist[s][u] + 1
+                        nxt.append(w)
+                    if dist[s][w] == dist[s][u] + 1:
+                        sigma[s][w] += sigma[s][u]
+            queue = nxt
+    btw = [Fraction(0)] * n
+    for s in range(n):
+        for t in range(n):
+            if s == t:
+                continue
+            for v in range(n):
+                if v == s or v == t:
+                    continue
+                if dist[s][v] + dist[v][t] == dist[s][t]:
+                    btw[v] += Fraction(sigma[s][v] * sigma[v][t], sigma[s][t])
+    return btw
+
+
+def _snapshot(graph, order, local, walk_edges):
+    loc_edges = sorted(edge_key(local[a], local[b]) for a, b in walk_edges)
+    node_labels = None
+    if graph.node_labels is not None:
+        node_labels = tuple(graph.node_labels[p] for p in order)
+    edge_labels = None
+    if graph.edge_labels is not None:
+        by_local = {
+            edge_key(local[a], local[b]): graph.edge_label(a, b)
+            for a, b in walk_edges
+        }
+        edge_labels = tuple(by_local[e] for e in loc_edges)
+    return Graphlet(len(order), tuple(loc_edges), node_labels, edge_labels,
+                    tuple(order))
+
+
+def reference_sample_run(graph, params, run_index):
+    """The package's former sampler: (graphlets, dead_end) of one run.
+
+    It rebuilds the eligible list from scratch, filters the chosen
+    node's edges against a visited set, and re-sorts every walk edge
+    into a fresh ``Graphlet`` at each step. Draws from the same per-run
+    stream as ``sampling.sample_run``, so the two must agree exactly.
+    """
+    rng = run_rng(params.seed, graph.id, run_index)
+    adj = graph.adjacency
+    start = rng.randrange(graph.n_nodes)
+    order = [start]
+    local = {start: 0}
+    residual = {start: len(adj[start])}
+    visited_edges = set()
+    walk_edges = []
+    frontier = start
+    snaps = []
+    for _ in range(params.max_edges):
+        eligible = [w for w in order if residual[w] > 0]
+        if not eligible:
+            break
+        if residual[frontier] > 0 and rng.random() < params.alpha:
+            u = frontier
+        else:
+            u = eligible[rng.randrange(len(eligible))]
+        candidates = [w for w in adj[u] if edge_key(u, w) not in visited_edges]
+        v = candidates[rng.randrange(len(candidates))]
+        visited_edges.add(edge_key(u, v))
+        walk_edges.append((u, v))
+        if v not in local:
+            local[v] = len(order)
+            order.append(v)
+            residual[v] = len(adj[v])
+        residual[u] -= 1
+        residual[v] -= 1
+        frontier = v
+        snaps.append(_snapshot(graph, order, local, walk_edges))
+    return tuple(snaps), len(snaps) < params.max_edges

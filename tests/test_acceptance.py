@@ -141,6 +141,23 @@ def test_criterion_02_slow_collision_table_t8():
     )
 
 
+@pytest.mark.slow
+def test_criterion_02_slow_collision_table_t9():
+    start = time.perf_counter()
+    expected = {"degree": 604, "core": 687, "clustering": 537, "betweenness": 27}
+    problems = []
+    for fn, n_coll in expected.items():
+        r = collision_report(fn, 9, keep_pairs=False)
+        if (r.n_graphs, r.n_collisions) != (710, n_coll):
+            problems.append((fn, r.n_graphs, r.n_collisions))
+    elapsed = time.perf_counter() - start
+    _criterion(
+        2,
+        not problems and elapsed < 900.0,
+        f"t=9 collision counts reproduced in {elapsed:.1f}s; problems={problems}",
+    )
+
+
 def test_criterion_03_hash_invariance_1000_trials():
     rng = random.Random(303)
     mismatches = 0

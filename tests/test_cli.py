@@ -1,7 +1,8 @@
 import random
 
 from graphlets import save_graphs, save_manifest
-from graphlets.cli import main
+from graphlets import cli
+from graphlets.cli import main, worker_count
 
 from synth import random_connected_graph
 
@@ -49,7 +50,21 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     assert main(base + ["--M", "5", "--epsilon", "0.1", "--delta", "0.1"]) == 1
     assert main(base + ["--epsilon", "0.1"]) == 1
     assert main(base + ["--M", "5", "--t-min", "9"]) == 1
+    for threads in ("0", "-5", "two"):
+        assert main(base + ["--M", "5", "--threads", threads]) == 1
+        assert "--threads" in capsys.readouterr().err
     capsys.readouterr()
+
+
+def test_worker_count_is_capped_by_jobs_and_cpus(monkeypatch):
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    assert worker_count(1, 100) == 1
+    assert worker_count(3, 100) == 3
+    assert worker_count(10**9, 100) == 4
+    assert worker_count(8, 2) == 2
+    assert worker_count(8, 0) == 1
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)  # count unknown
+    assert worker_count(8, 100) == 1
 
 
 def test_data_errors_exit_two(tmp_path, capsys):

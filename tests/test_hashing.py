@@ -9,13 +9,15 @@ from graphlets import (
     clustering_vector,
     core_vector,
     degree_vector,
+    enumerate_connected,
     hash_code,
     resolve_hash_function,
     select_hash_function,
 )
-from graphlets.hashing import HASH_FUNCTIONS, format_value
+from graphlets.hashing import HASH_FUNCTIONS, betweenness_values, format_value
 
 from oracles import (
+    betweenness_all_pairs,
     betweenness_by_path_enumeration,
     clustering_by_triple_scan,
     core_by_threshold,
@@ -64,9 +66,25 @@ def test_measures_agree_with_oracles_on_random_graphlets():
     rng = random.Random(21)
     for _ in range(100):
         g = random_graphlet(rng, max_edges=7)
-        assert betweenness_vector(g) == sorted(betweenness_by_path_enumeration(g))
+        assert betweenness_values(g) == betweenness_by_path_enumeration(g)
+        assert betweenness_values(g) == betweenness_all_pairs(g)
         assert core_vector(g) == sorted(core_by_threshold(g))
         assert clustering_vector(g) == sorted(clustering_by_triple_scan(g))
+
+
+def test_brandes_betweenness_equals_references_on_all_classes_to_eight():
+    for t in range(1, 9):
+        for g in enumerate_connected(t):
+            expected = betweenness_by_path_enumeration(g)
+            assert betweenness_all_pairs(g) == expected
+            assert betweenness_values(g) == expected, (t, g.edges)
+
+
+def test_brandes_betweenness_equals_all_pairs_on_larger_graphlets():
+    rng = random.Random(23)
+    for _ in range(200):
+        g = random_graphlet(rng, max_edges=16)
+        assert betweenness_values(g) == betweenness_all_pairs(g), g.edges
 
 
 def test_fractional_measures_stay_exact():

@@ -10,10 +10,10 @@ from graphlets import (
     sample_run,
     sample_size,
 )
-from graphlets.graphs import edge_key
+from graphlets.graphs import Graph, edge_key
 from graphlets.sampling import run_rng
 
-from oracles import enumerate_walk_size_sequences
+from oracles import enumerate_walk_size_sequences, reference_sample_run
 from synth import random_connected_graph
 
 K2 = parse_graph_file("t k2\nv 0\nv 1\ne 0 1")[0]
@@ -101,6 +101,38 @@ def test_trace_structure_on_random_graphs():
         params = SamplerParams(runs=4, max_edges=rng.randint(1, 8), seed=i)
         for trace in sample_all(g, params):
             _check_trace_structure(g, trace, params.max_edges)
+
+
+def _label_variants(g):
+    """g with node and edge labels, node labels only, edge labels only, none."""
+    return [
+        g,
+        Graph(g.id, g.n_nodes, g.edges, g.node_labels, None),
+        Graph(g.id, g.n_nodes, g.edges, None, g.edge_labels),
+        g.without_labels(),
+    ]
+
+
+def test_traces_equal_reference_sampler():
+    rng = random.Random(17)
+    dead = full = 0
+    for i in range(30):
+        g = random_connected_graph(f"g{i}", rng.randint(2, 16), rng.randint(0, 8),
+                                   rng, labeled=True)
+        if i % 3 == 0:  # an isolated node: walks starting there take no step
+            g = Graph(g.id, g.n_nodes + 1, g.edges, g.node_labels + ("A",),
+                      g.edge_labels).validate()
+        for variant in _label_variants(g):
+            for alpha in (0.0, 0.5, 1.0):
+                params = SamplerParams(runs=4, max_edges=rng.randint(1, 14),
+                                       alpha=alpha, seed=i)
+                for r, trace in enumerate(sample_all(variant, params)):
+                    graphlets, dead_end = reference_sample_run(variant, params, r)
+                    assert trace.graphlets == graphlets
+                    assert trace.dead_end == dead_end
+                    dead += dead_end
+                    full += not dead_end
+    assert dead and full
 
 
 def test_no_dead_ends_when_components_have_enough_edges():
