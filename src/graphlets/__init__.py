@@ -21,8 +21,6 @@ from .embedding import (
     Embedding,
     Vocabulary,
     build_vocabulary,
-    concat_embeddings,
-    embed_graph,
     embed_graph_stats,
     finalize_embeddings,
     read_embeddings,
@@ -49,13 +47,8 @@ from .graphs import (
 from .hashing import (
     HASH_FUNCTIONS,
     HashCode,
-    betweenness_vector,
-    clustering_vector,
-    core_vector,
-    degree_vector,
     hash_code,
     resolve_hash_function,
-    select_hash_function,
 )
 from .kernels import (
     KERNEL_KINDS,
@@ -63,7 +56,6 @@ from .kernels import (
     RankingPair,
     kernel_matrix,
     kernel_value,
-    knn_classify,
     knn_retrieval_scores,
     loo_knn_accuracy,
     ranking_pair,
@@ -96,16 +88,10 @@ __all__ = [
     "RunTrace",
     "SamplerParams",
     "Vocabulary",
-    "betweenness_vector",
     "build_vocabulary",
-    "clustering_vector",
     "collision_report",
-    "concat_embeddings",
     "connected_graph_count",
-    "core_vector",
     "count_components",
-    "degree_vector",
-    "embed_graph",
     "embed_graph_stats",
     "enumerate_connected",
     "finalize_embeddings",
@@ -114,7 +100,6 @@ __all__ = [
     "is_isomorphic",
     "kernel_matrix",
     "kernel_value",
-    "knn_classify",
     "knn_retrieval_scores",
     "load_graphs",
     "load_manifest",
@@ -132,7 +117,6 @@ __all__ = [
     "sample_size",
     "save_graphs",
     "save_manifest",
-    "select_hash_function",
     "serialize_graph",
     "serialize_graphs",
     "write_embeddings",

@@ -4,7 +4,8 @@ Subcommands wire graph transaction files through sampling, embedding,
 kernel export, k-NN evaluation, collision auditing, and rank-agreement
 scoring. All randomness flows from --seed through documented per-run
 stream derivation, and --threads never changes output bytes, only wall
-time. Exit codes: 0 success, 1 usage error, 2 data error.
+time. Exit codes: 0 success, 1 usage error, 2 data error, 141 stdout
+closed before all output was written.
 """
 
 from __future__ import annotations
@@ -179,16 +180,8 @@ def cmd_embed(args) -> int:
     vocab = build_vocabulary(vocab_maps)
 
     runs_total = sum(b[0] for b in batches)
-    meta = {
-        "runs": runs_total,
-        "max_edges": args.T,
-        "min_edges": args.t_min,
-        "alpha": args.alpha,
-        "seed": args.seed,
-        "hash": args.hash,
-    }
     embeddings = finalize_embeddings(
-        [(gid, counts) for gid, counts, _, _ in results], vocab, meta
+        [(gid, counts) for gid, counts, _, _ in results], vocab
     )
 
     os.makedirs(args.out, exist_ok=True)
@@ -221,13 +214,17 @@ def _load_labels(manifest_path: str | None, ids: list[str]) -> list[str]:
     return [by_id[gid] for gid in ids]
 
 
+def _kernel_spec(args) -> KernelSpec:
+    try:
+        return KernelSpec(_KIND_BY_FLAG[args.kind], args.gamma)
+    except ValueError as exc:
+        raise UsageError(f"{args.command}: {exc}") from None
+
+
 def cmd_kernel(args) -> int:
+    spec = _kernel_spec(args)
     ids, rows = read_embeddings(args.embeddings)
     labels = _load_labels(args.manifest, ids)
-    kind = _KIND_BY_FLAG[args.kind]
-    if kind == "rbf" and args.gamma is None:
-        raise UsageError("kernel: --gamma is required for --kind rbf")
-    spec = KernelSpec(kind, args.gamma if kind == "rbf" else None)
     K = kernel_matrix(rows, spec)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "kernel.txt")
@@ -237,14 +234,12 @@ def cmd_kernel(args) -> int:
 
 
 def cmd_knn(args) -> int:
+    spec = _kernel_spec(args)
     ids, rows = read_embeddings(args.embeddings)
     labels = _load_labels(args.manifest, ids)
-    kind = _KIND_BY_FLAG[args.kind]
-    if kind == "rbf" and args.gamma is None:
-        raise UsageError("knn: --gamma is required for --kind rbf")
-    spec = KernelSpec(kind, args.gamma if kind == "rbf" else None)
-    hits = knn_retrieval_scores(rows, labels, args.k, spec)
-    accuracy = loo_knn_accuracy(rows, labels, args.k, spec)
+    K = kernel_matrix(rows, spec)
+    hits = knn_retrieval_scores(K, labels, args.k)
+    accuracy = loo_knn_accuracy(K, labels, args.k)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "retrieval.tsv")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -404,10 +399,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        rc = args.func(args)
+        sys.stdout.flush()  # a closed stdout surfaces here, not at exit
+        return rc
     except UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # The reader went away (e.g. `| head`); files are already written.
+        # Point stdout at devnull so the interpreter's final flush is quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE, as a killed writer would report
     except (GraphFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -12,7 +12,7 @@ frozen vocabulary applied to new data) are dropped and tallied in an
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import IO, Iterable, Mapping, Sequence
 
@@ -34,22 +34,17 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def __contains__(self, key: str) -> bool:
-        return key in self.index
-
 
 @dataclass(frozen=True)
 class Embedding:
     """Histogram of one graph aligned to a vocabulary.
 
-    ``meta`` records the sampling configuration (runs, max_edges,
-    alpha, seed, hash function, min_edges); ``oov_count`` tallies
-    sampled codes that fell outside the vocabulary.
+    ``oov_count`` tallies sampled codes that fell outside the
+    vocabulary.
     """
 
     graph_id: str
     counts: tuple[int, ...]
-    meta: Mapping = field(default_factory=dict)
     oov_count: int = 0
 
     @property
@@ -87,14 +82,6 @@ def embed_graph_stats(
     return dict(counts), dead_ends, emitted
 
 
-def embed_graph(
-    graph: Graph, params: SamplerParams, fn: str = "auto", min_edges: int = 1
-) -> dict[str, int]:
-    """Code->count map for one graph (see embed_graph_stats)."""
-    counts, _, _ = embed_graph_stats(graph, params, fn, min_edges)
-    return counts
-
-
 def build_vocabulary(maps: Iterable[Mapping[str, int]]) -> Vocabulary:
     """Union of all code keys, sorted lexicographically."""
     keys: set[str] = set()
@@ -108,7 +95,6 @@ def build_vocabulary(maps: Iterable[Mapping[str, int]]) -> Vocabulary:
 def finalize_embeddings(
     named_maps: Sequence[tuple[str, Mapping[str, int]]],
     vocab: Vocabulary,
-    meta: Mapping | None = None,
 ) -> list[Embedding]:
     """Dense count vectors aligned to the vocabulary, in input order."""
     out = []
@@ -121,36 +107,8 @@ def finalize_embeddings(
                 oov += c
             else:
                 vec[pos] = c
-        out.append(Embedding(graph_id, tuple(vec), dict(meta or {}), oov))
+        out.append(Embedding(graph_id, tuple(vec), oov))
     return out
-
-
-def concat_embeddings(
-    parts: Sequence[tuple[Embedding, Vocabulary]],
-) -> tuple[Embedding, Vocabulary]:
-    """Concatenate per-size embeddings of one graph into a single
-    vector over the concatenated vocabulary."""
-    if not parts:
-        raise ValueError("nothing to concatenate")
-    graph_id = parts[0][0].graph_id
-    for emb, _ in parts[1:]:
-        if emb.graph_id != graph_id:
-            raise ValueError(
-                f"graph id mismatch: {graph_id!r} vs {emb.graph_id!r}"
-            )
-    entries: list[str] = []
-    counts: list[int] = []
-    oov = 0
-    for emb, vocab in parts:
-        if len(emb.counts) != len(vocab):
-            raise ValueError("embedding length does not match its vocabulary")
-        entries.extend(vocab.entries)
-        counts.extend(emb.counts)
-        oov += emb.oov_count
-    if len(set(entries)) != len(entries):
-        raise ValueError("concatenated vocabularies share code keys")
-    meta = {"segments": tuple(dict(emb.meta) for emb, _ in parts)}
-    return Embedding(graph_id, tuple(counts), meta, oov), Vocabulary(tuple(entries))
 
 
 def write_vocabulary(vocab: Vocabulary, path: str) -> None:

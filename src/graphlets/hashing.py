@@ -20,18 +20,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
-from typing import Mapping, Sequence
 
 from .graphs import Graphlet
 from .sampling import Step
 
-HASH_FUNCTIONS = ("degree", "core", "clustering", "betweenness")
+HASH_FUNCTIONS = ("degree", "core", "clustering", "betweenness")  # cheapest first
 AUTO_THRESHOLD = 4  # auto: degree up to 4 edges, betweenness beyond
-
-# Cheapest-first ordering, used to break exact ties in E(f).
-_COST_ORDER = {"degree": 0, "core": 1, "clustering": 2, "betweenness": 3}
 
 
 def resolve_hash_function(fn: str, n_edges: int) -> str:
@@ -147,22 +143,6 @@ def measure_values(g: Graphlet, fn: str) -> list:
     return _VALUE_FUNCTIONS[fn](g)
 
 
-def degree_vector(g: Graphlet) -> list[int]:
-    return sorted(degree_values(g))
-
-
-def core_vector(g: Graphlet) -> list[int]:
-    return sorted(core_values(g))
-
-
-def clustering_vector(g: Graphlet) -> list[Fraction]:
-    return sorted(clustering_values(g))
-
-
-def betweenness_vector(g: Graphlet) -> list[Fraction]:
-    return sorted(betweenness_values(g))
-
-
 def format_value(x) -> str:
     """Serialize a measure value: integers plainly, rationals num/den."""
     if isinstance(x, Fraction):
@@ -182,13 +162,7 @@ class HashCode:
     node_label_key: str = ""
     edge_label_key: str = ""
 
-    @property
-    def label_key(self) -> str:
-        if not self.node_label_key and not self.edge_label_key:
-            return ""
-        return f"{self.node_label_key}|{self.edge_label_key}"
-
-    @property
+    @cached_property  # codes come from a cache, so each formats its key once
     def key(self) -> str:
         return (
             f"{self.n_edges}|{self.fn}|{self.topo_key}"
@@ -240,17 +214,3 @@ def hash_code(g: Graphlet | Step, fn: str = "auto") -> HashCode:
     """
     resolved = resolve_hash_function(fn, g.n_edges)
     return _hash_code_cached(resolved, g.n_nodes, g.edges, g.node_labels, g.edge_labels)
-
-
-def select_hash_function(candidates: Sequence[str], n_edges: int,
-                         reports: Mapping[str, "object"]) -> str:
-    """Pick the candidate with the lowest measured collision probability.
-
-    ``reports`` maps each resolved candidate to an object exposing an
-    ``e_f`` attribute (see audit.CollisionReport). Exact ties go to the
-    cheaper measure: degree < core < clustering < betweenness.
-    """
-    if not candidates:
-        raise ValueError("no candidate hash functions")
-    resolved = [resolve_hash_function(c, n_edges) for c in candidates]
-    return min(resolved, key=lambda fn: (reports[fn].e_f, _COST_ORDER[fn]))

@@ -27,13 +27,6 @@ class KernelSpec:
             raise ValueError(f"gamma is only valid for rbf, not {self.kind!r}")
 
 
-def _as_matrix(vectors) -> np.ndarray:
-    X = np.asarray(vectors, dtype=float)
-    if X.ndim != 2:
-        raise ValueError("embeddings must share a common vector length")
-    return X
-
-
 def _rows(x: np.ndarray, block: np.ndarray, spec: KernelSpec) -> np.ndarray:
     """Kernel of one vector against each row of a block."""
     if spec.kind == "dot":
@@ -63,7 +56,9 @@ def kernel_value(x: Sequence, y: Sequence, spec: KernelSpec) -> float:
 
 def kernel_matrix(vectors, spec: KernelSpec) -> np.ndarray:
     """Dense symmetric kernel matrix; K[i][j] == K[j][i] exactly."""
-    X = _as_matrix(vectors)
+    X = np.asarray(vectors, dtype=float)
+    if X.ndim != 2:
+        raise ValueError("embeddings must share a common vector length")
     n = X.shape[0]
     if n == 0:
         raise ValueError("no embeddings given")
@@ -75,76 +70,46 @@ def kernel_matrix(vectors, spec: KernelSpec) -> np.ndarray:
     return K
 
 
-def _neighbor_order(sims: np.ndarray, skip: int | None = None) -> list[int]:
-    idx = [j for j in range(len(sims)) if j != skip]
-    idx.sort(key=lambda j: (-sims[j], j))  # similarity ties: keep input order
-    return idx
+def _top_k(K, labels: Sequence[str], k: int) -> np.ndarray:
+    """Row i: the k items most similar to item i, most similar first,
+    item i itself excluded; similarity ties keep input order."""
+    K = np.asarray(K, dtype=float)
+    n = K.shape[0]
+    if K.shape != (n, n):
+        raise ValueError("kernel matrix must be square")
+    if len(labels) != n:
+        raise ValueError("labels do not align with the kernel matrix")
+    if not 1 <= k <= n - 1:
+        raise ValueError(f"k must be in 1..{n - 1}, got {k}")
+    order = np.argsort(-K, axis=1, kind="stable")
+    return order[order != np.arange(n)[:, None]].reshape(n, n - 1)[:, :k]
 
 
-def knn_classify(
-    train_vectors,
-    train_labels: Sequence[str],
-    query,
-    k: int,
-    spec: KernelSpec,
-) -> str:
-    """Majority label among the k most similar training items.
-
-    Similarity ties are broken by training order, label ties by
-    lexicographically smallest label.
-    """
-    X = _as_matrix(train_vectors)
-    if len(X) == 0:
-        raise ValueError("empty training set")
-    if len(train_labels) != len(X):
-        raise ValueError("labels do not align with training vectors")
-    if not 1 <= k <= len(X):
-        raise ValueError(f"k must be in 1..{len(X)}, got {k}")
-    sims = _rows(np.asarray(query, dtype=float), X, spec)
-    top = _neighbor_order(sims)[:k]
-    tally = Counter(train_labels[j] for j in top)
-    best = max(tally.values())
-    return min(lbl for lbl, c in tally.items() if c == best)
-
-
-def knn_retrieval_scores(
-    vectors, labels: Sequence[str], k: int, spec: KernelSpec
-) -> list[int]:
-    """Per-rank hit counts over the dataset.
+def knn_retrieval_scores(K, labels: Sequence[str], k: int) -> list[int]:
+    """Per-rank hit counts over a dataset's kernel matrix.
 
     Position j counts, over all queries, how often the (j+1)-th nearest
     neighbor (query excluded) shares the query's class.
     """
-    X = _as_matrix(vectors)
-    n = len(X)
-    if len(labels) != n:
-        raise ValueError("labels do not align with vectors")
-    if not 1 <= k < n:
-        raise ValueError(f"k must be in 1..{n - 1}, got {k}")
-    K = kernel_matrix(X, spec)
-    hits = [0] * k
-    for i in range(n):
-        for rank, j in enumerate(_neighbor_order(K[i], skip=i)[:k]):
-            if labels[j] == labels[i]:
-                hits[rank] += 1
-    return hits
+    top = _top_k(K, labels, k)
+    y = np.asarray(labels)
+    return (y[top] == y[:, None]).sum(axis=0).tolist()
 
 
-def loo_knn_accuracy(vectors, labels: Sequence[str], k: int, spec: KernelSpec) -> float:
-    """Leave-one-out k-NN classification accuracy."""
-    X = _as_matrix(vectors)
-    n = len(X)
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"k must be in 1..{n - 1}, got {k}")
-    K = kernel_matrix(X, spec)
+def loo_knn_accuracy(K, labels: Sequence[str], k: int) -> float:
+    """Leave-one-out k-NN classification accuracy over a kernel matrix.
+
+    Each item takes the majority label of its k most similar other
+    items; label ties go to the lexicographically smallest label.
+    """
+    top = _top_k(K, labels, k)
     correct = 0
-    for i in range(n):
-        top = _neighbor_order(K[i], skip=i)[:k]
-        tally = Counter(labels[j] for j in top)
+    for i, row in enumerate(top):
+        tally = Counter(labels[j] for j in row)
         best = max(tally.values())
         if min(lbl for lbl, c in tally.items() if c == best) == labels[i]:
             correct += 1
-    return correct / n
+    return correct / len(top)
 
 
 @dataclass(frozen=True)

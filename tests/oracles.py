@@ -2,12 +2,13 @@
 
 Most of these deliberately avoid the algorithms used by the package
 (BFS path counting, degeneracy peeling, walk simulation) so that
-expected values in tests come from an independent route. The last two
-are the package's former straightforward implementations of
-betweenness and of the walk sampler, kept as references that the
-faster replacements must match exactly.
+expected values in tests come from an independent route. The last
+ones are the package's former straightforward implementations of
+betweenness, the walk sampler and k-NN neighbor ranking, kept as
+references that the faster replacements must match exactly.
 """
 
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -251,3 +252,27 @@ def reference_sample_run(graph, params, run_index):
         frontier = v
         snaps.append(_snapshot(graph, order, local, walk_edges))
     return tuple(snaps), len(snaps) < params.max_edges
+
+
+def reference_neighbor_order(sims, skip):
+    """The package's former k-NN ranking of one kernel row: every index
+    but ``skip``, by descending similarity, similarity ties in index
+    order."""
+    idx = [j for j in range(len(sims)) if j != skip]
+    idx.sort(key=lambda j: (-sims[j], j))
+    return idx
+
+
+def reference_knn(K, labels, k):
+    """(per-rank retrieval hits, leave-one-out k-NN accuracy) from one
+    per-row sort each; label ties go to the smallest label."""
+    hits = [0] * k
+    correct = 0
+    for i in range(len(K)):
+        top = reference_neighbor_order(K[i], skip=i)[:k]
+        for rank, j in enumerate(top):
+            hits[rank] += labels[j] == labels[i]
+        tally = Counter(labels[j] for j in top)
+        best = max(tally.values())
+        correct += min(lbl for lbl, c in tally.items() if c == best) == labels[i]
+    return hits, correct / len(K)

@@ -15,7 +15,6 @@ from graphlets import (
     SamplerParams,
     collision_report,
     connected_graph_count,
-    embed_graph,
     embed_graph_stats,
     enumerate_connected,
     hash_code,
@@ -121,8 +120,7 @@ def test_criterion_02_collision_table_to_seven():
     )
 
 
-@pytest.mark.slow
-def test_criterion_02_slow_collision_table_t8():
+def test_criterion_02_collision_table_t8():
     start = time.perf_counter()
     expected = {"betweenness": 5, "core": 211, "degree": 167, "clustering": 157}
     problems = []
@@ -155,6 +153,23 @@ def test_criterion_02_slow_collision_table_t9():
         2,
         not problems and elapsed < 900.0,
         f"t=9 collision counts reproduced in {elapsed:.1f}s; problems={problems}",
+    )
+
+
+@pytest.mark.slow
+def test_criterion_02_slow_collision_table_t10():
+    start = time.perf_counter()
+    expected = {"degree": 2145, "core": 2290, "clustering": 1907, "betweenness": 108}
+    problems = []
+    for fn, n_coll in expected.items():
+        r = collision_report(fn, 10, keep_pairs=False)
+        if (r.n_graphs, r.n_collisions) != (2322, n_coll):
+            problems.append((fn, r.n_graphs, r.n_collisions))
+    elapsed = time.perf_counter() - start
+    _criterion(
+        2,
+        not problems and elapsed < 900.0,
+        f"t=10 collision counts reproduced in {elapsed:.1f}s; problems={problems}",
     )
 
 
@@ -331,7 +346,7 @@ def test_criterion_07_statistical_convergence():
                 runs=runs, max_edges=4, seed=7000 + 2 * rep + phase
             )
             hists.append(_normalized_hist(
-                embed_graph(graph, params, "degree", min_edges=4)))
+                embed_graph_stats(graph, params, "degree", min_edges=4)[0]))
         keys = set(hists[0]) | set(hists[1])
         l1 = sum(abs(hists[0].get(k, 0.0) - hists[1].get(k, 0.0)) for k in keys)
         if l1 <= 0.1:
@@ -378,15 +393,15 @@ def test_criterion_09_two_class_smoke_classification(tmp_path):
     rng = random.Random(909)
     graphs, entries = two_class_dataset(60, rng)
     params = SamplerParams(runs=300, max_edges=5, alpha=0.5, seed=42)
-    maps = [(g.id, embed_graph(g, params, "auto", min_edges=1)) for g in graphs]
+    maps = [(g.id, embed_graph_stats(g, params, "auto", min_edges=1)[0]) for g in graphs]
     vocab = build_vocabulary([m for _, m in maps])
     embeddings = finalize_embeddings(maps, vocab)
     vectors = [e.counts for e in embeddings]
     labels = [e.class_label for e in entries]
-    accuracy = loo_knn_accuracy(vectors, labels, 5, KernelSpec("hist_intersection"))
+    K = kernel_matrix(vectors, KernelSpec("hist_intersection"))
+    accuracy = loo_knn_accuracy(K, labels, 5)
 
     # the exported precomputed-kernel file is validated structurally
-    K = kernel_matrix(vectors, KernelSpec("hist_intersection"))
     from graphlets import write_precomputed_kernel
 
     kpath = tmp_path / "kernel.txt"

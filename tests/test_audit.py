@@ -6,15 +6,17 @@ import pytest
 
 from graphlets import (
     Graphlet,
+    HASH_FUNCTIONS,
     collision_report,
-    degree_vector,
     enumerate_connected,
     format_report,
     is_isomorphic,
     parse_graph_file,
+    resolve_hash_function,
     write_report,
 )
 from graphlets.audit import audit_code
+from graphlets.hashing import degree_values
 
 from synth import permute_graphlet, random_graphlet
 
@@ -35,7 +37,7 @@ def test_enumerated_graphs_are_valid_and_connected():
 
 
 def test_three_edge_classes_are_path_star_triangle():
-    vectors = {tuple(degree_vector(g)) for g in enumerate_connected(3)}
+    vectors = {tuple(sorted(degree_values(g))) for g in enumerate_connected(3)}
     assert vectors == {(1, 1, 2, 2), (1, 1, 1, 3), (2, 2, 2)}
 
 
@@ -57,7 +59,8 @@ def test_same_degree_sequence_non_isomorphic_pair():
     # a 4-cycle with a tail vs a triangle with a 2-edge tail
     tadpole41 = Graphlet(5, ((0, 1), (0, 3), (1, 2), (2, 3), (3, 4)))
     tadpole32 = Graphlet(5, ((0, 1), (0, 2), (1, 2), (2, 3), (3, 4)))
-    assert degree_vector(tadpole41) == degree_vector(tadpole32) == [1, 2, 2, 2, 3]
+    degrees = [sorted(degree_values(g)) for g in (tadpole41, tadpole32)]
+    assert degrees == [[1, 2, 2, 2, 3]] * 2
     assert not is_isomorphic(tadpole41, tadpole32)
 
 
@@ -138,16 +141,14 @@ def test_auto_resolves_in_reports():
     assert collision_report("auto", 5).fn == "betweenness"
 
 
-def test_select_hash_function_over_measured_reports():
-    from graphlets import select_hash_function
-
-    fns = ["degree", "core", "clustering", "betweenness"]
-    reports7 = {fn: collision_report(fn, 7, keep_pairs=False) for fn in fns}
-    assert select_hash_function(fns, 7, reports7) == "betweenness"
-    reports4 = {fn: collision_report(fn, 4, keep_pairs=False) for fn in fns}
-    # degree and betweenness are both collision-free at size 4; cost breaks the tie
-    assert reports4["degree"].e_f == reports4["betweenness"].e_f == 0
-    assert select_hash_function(fns, 4, reports4) == "degree"
+def test_auto_matches_lowest_measured_collision_rate():
+    # HASH_FUNCTIONS is cheapest first, so min() breaks E(f) ties toward
+    # the cheaper measure: degree (0 collisions) up to t=4, betweenness
+    # (0, 0, 1, 5 against degree's 2, 11, 44, 167) from t=5 to t=8
+    for t in range(1, 9):
+        best = min(HASH_FUNCTIONS,
+                   key=lambda fn: collision_report(fn, t, keep_pairs=False).e_f)
+        assert resolve_hash_function("auto", t) == best, t
 
 
 def test_report_file_format(tmp_path):

@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 
+import graphlets
 from graphlets import save_graphs, save_manifest
 from graphlets import cli
 from graphlets.cli import main, worker_count
@@ -216,6 +220,52 @@ def test_kernel_requires_gamma_for_rbf(tmp_path, capsys):
     assert main(["kernel", "--embeddings", emb_path, "--kind", "rbf",
                  "--out", out]) == 1
     capsys.readouterr()
+
+
+def test_kernel_and_knn_share_one_kernel_spec_rule(tmp_path, capsys):
+    graphs, manifest = _dataset(tmp_path, n_graphs=3, seed=5)
+    out = str(tmp_path / "out")
+    assert main(["embed", "--graphs", graphs, "--manifest", manifest,
+                 "--T", "2", "--M", "4", "--out", out]) == 0
+    emb_path = str(tmp_path / "out" / "embeddings.tsv")
+    for cmd, extra in (("kernel", []), ("knn", ["--k", "1"])):
+        base = [cmd, "--embeddings", emb_path, "--manifest", manifest,
+                "--out", out] + extra
+        for bad in (["--kind", "rbf"],
+                    ["--kind", "rbf", "--gamma", "-1"],
+                    ["--kind", "dot", "--gamma", "0.5"],
+                    ["--kind", "hist-int", "--gamma", "1"]):
+            assert main(base + bad) == 1, (cmd, bad)
+            assert capsys.readouterr().err.startswith(f"{cmd}: "), (cmd, bad)
+        assert main(base + ["--kind", "rbf", "--gamma", "0.5"]) == 0
+    capsys.readouterr()
+
+
+def test_closed_stdout_exits_141_after_writing_files(tmp_path):
+    graphs = _write(tmp_path, "g.txt", TRIANGLE_TXT)
+    manifest = _write(tmp_path, "m.tsv", "tri\tc\tunsplit\n")
+    out = tmp_path / "out"
+    src = os.path.dirname(os.path.dirname(graphlets.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    commands = (
+        ["embed", "--graphs", graphs, "--manifest", manifest, "--T", "3",
+         "--t-min", "3", "--M", "10", "--hash", "degree", "--out", str(out)],
+        ["audit", "--hash", "degree", "--t", "3", "--out", str(out)],
+    )
+    for argv in commands:
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # nothing will ever read what the command prints
+        try:
+            proc = subprocess.run([sys.executable, "-m", "graphlets.cli"] + argv,
+                                  stdout=write_end, stderr=subprocess.PIPE,
+                                  env=env, timeout=120)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (141, b""), argv
+    assert (out / "vocabulary.txt").read_text() == "3|degree|2,2,2||\n"
+    assert (out / "embeddings.tsv").read_text() == "graph_id\tbin0\ntri\t10\n"
+    assert (out / "audit-degree-t3.tsv").read_text().startswith("fn\tt\t")
 
 
 def test_knn_duplicated_graphs_retrieve_each_other(tmp_path, capsys):

@@ -7,8 +7,6 @@ from graphlets import (
     SamplerParams,
     Vocabulary,
     build_vocabulary,
-    concat_embeddings,
-    embed_graph,
     embed_graph_stats,
     finalize_embeddings,
     parse_graph_file,
@@ -25,19 +23,20 @@ TRIANGLE = parse_graph_file("t tri\nv 0\nv 1\nv 2\ne 0 1\ne 0 2\ne 1 2")[0]
 
 
 def test_embed_k2_single_code():
-    counts = embed_graph(K2, SamplerParams(runs=5, max_edges=1, seed=0), "degree")
+    counts = embed_graph_stats(K2, SamplerParams(runs=5, max_edges=1, seed=0), "degree")[0]
     assert counts == {"1|degree|1,1||": 5}
 
 
 def test_embed_triangle_two_sizes():
-    counts = embed_graph(TRIANGLE, SamplerParams(runs=10, max_edges=2, seed=0), "degree")
+    params = SamplerParams(runs=10, max_edges=2, seed=0)
+    counts = embed_graph_stats(TRIANGLE, params, "degree")[0]
     assert counts == {"1|degree|1,1||": 10, "2|degree|1,1,2||": 10}
 
 
 def test_embed_triangle_min_edges_three():
-    counts = embed_graph(
+    counts = embed_graph_stats(
         TRIANGLE, SamplerParams(runs=10, max_edges=3, seed=0), "degree", min_edges=3
-    )
+    )[0]
     assert counts == {"3|degree|2,2,2||": 10}
 
 
@@ -64,10 +63,11 @@ def test_dead_ends_reduce_totals_exactly():
 
 
 def test_min_edges_validation():
+    params = SamplerParams(runs=1, max_edges=2, seed=0)
     with pytest.raises(ValueError):
-        embed_graph(K2, SamplerParams(runs=1, max_edges=2, seed=0), "degree", min_edges=3)
+        embed_graph_stats(K2, params, "degree", min_edges=3)
     with pytest.raises(ValueError):
-        embed_graph(K2, SamplerParams(runs=1, max_edges=2, seed=0), "degree", min_edges=0)
+        embed_graph_stats(K2, params, "degree", min_edges=0)
 
 
 def test_build_vocabulary_sorts_and_dedupes():
@@ -91,36 +91,12 @@ def test_finalize_alignment_and_oov():
     assert [e.graph_id for e in embs] == ["g0", "g1", "g2"]
 
 
-def test_concat_embeddings():
-    a = Embedding("g", (1, 0)), Vocabulary(("3|x", "3|y"))
-    b = Embedding("g", (2,)), Vocabulary(("4|z",))
-    emb, vocab = concat_embeddings([a, b])
-    assert emb.counts == (1, 0, 2)
-    assert vocab.entries == ("3|x", "3|y", "4|z")
-
-    with pytest.raises(ValueError, match="mismatch"):
-        concat_embeddings([a, (Embedding("other", (2,)), Vocabulary(("4|z",)))])
-    with pytest.raises(ValueError, match="share"):
-        concat_embeddings([a, (Embedding("g", (2, 2)), Vocabulary(("3|x", "4|z")))])
-    with pytest.raises(ValueError):
-        concat_embeddings([])
-
-
-def test_concat_zero_padding_keeps_dot_products():
-    emb, _ = concat_embeddings(
-        [
-            (Embedding("g", (1, 2)), Vocabulary(("3|a", "3|b"))),
-            (Embedding("g", (0, 0)), Vocabulary(("4|a", "4|b"))),
-        ]
-    )
-    assert sum(x * y for x, y in zip(emb.counts, emb.counts)) == 1 + 4
-
-
 def test_triangle_histogram_invariant_under_node_permutation():
     # saturating budget on a fully forced graph: exact histogram equality
     permuted = parse_graph_file("t tri\nv 0\nv 1\nv 2\ne 1 2\ne 0 2\ne 0 1")[0]
     params = SamplerParams(runs=30, max_edges=3, seed=9)
-    assert embed_graph(TRIANGLE, params, "degree") == embed_graph(permuted, params, "degree")
+    assert (embed_graph_stats(TRIANGLE, params, "degree")[0]
+            == embed_graph_stats(permuted, params, "degree")[0])
 
 
 def test_reachable_code_sets_invariant_under_permutation():
@@ -130,15 +106,17 @@ def test_reachable_code_sets_invariant_under_permutation():
     edges = tuple(sorted(tuple(sorted((relabel[u], relabel[v]))) for u, v in g.edges))
     h = type(g)("g", 7, edges)
     params = SamplerParams(runs=3000, max_edges=2, seed=5)
-    keys_g = set(embed_graph(g, params, "degree"))
-    keys_h = set(embed_graph(h, params, "degree"))
+    keys_g = set(embed_graph_stats(g, params, "degree")[0])
+    keys_h = set(embed_graph_stats(h, params, "degree")[0])
     assert keys_g == keys_h
 
 
 def test_vocab_and_embedding_files_round_trip(tmp_path):
     maps = [
-        ("g0", embed_graph(TRIANGLE, SamplerParams(runs=6, max_edges=3, seed=3), "degree")),
-        ("g1", embed_graph(K2, SamplerParams(runs=6, max_edges=1, seed=3), "degree")),
+        ("g0", embed_graph_stats(TRIANGLE, SamplerParams(runs=6, max_edges=3, seed=3),
+                                 "degree")[0]),
+        ("g1", embed_graph_stats(K2, SamplerParams(runs=6, max_edges=1, seed=3),
+                                 "degree")[0]),
     ]
     vocab = build_vocabulary([m for _, m in maps])
     embs = finalize_embeddings(maps, vocab)
@@ -167,7 +145,8 @@ def test_normalized_rows_sum_to_one(tmp_path):
 
 
 def test_code_keys_carry_resolved_function():
-    counts = embed_graph(TRIANGLE, SamplerParams(runs=2, max_edges=3, seed=2), "auto")
+    params = SamplerParams(runs=2, max_edges=3, seed=2)
+    counts = embed_graph_stats(TRIANGLE, params, "auto")[0]
     for key in counts:
         t, fn = key.split("|")[:2]
         assert fn == "degree" and 1 <= int(t) <= 3  # auto resolves by size

@@ -5,16 +5,16 @@ import pytest
 
 from graphlets import (
     Graphlet,
-    betweenness_vector,
-    clustering_vector,
-    core_vector,
-    degree_vector,
     enumerate_connected,
     hash_code,
     resolve_hash_function,
-    select_hash_function,
 )
-from graphlets.hashing import HASH_FUNCTIONS, betweenness_values, format_value
+from graphlets.hashing import (
+    HASH_FUNCTIONS,
+    betweenness_values,
+    format_value,
+    measure_values,
+)
 
 from oracles import (
     betweenness_all_pairs,
@@ -32,33 +32,38 @@ PAW = Graphlet(4, ((0, 1), (0, 2), (0, 3), (1, 2)))  # triangle plus pendant at 
 K2 = Graphlet(2, ((0, 1),))
 
 
+def _sorted(g, fn):
+    """The canonical vector a code's topology part is built from."""
+    return sorted(measure_values(g, fn))
+
+
 def test_degree_vector_examples():
-    assert degree_vector(TRIANGLE) == [2, 2, 2]
-    assert degree_vector(PATH2) == [1, 1, 2]
-    assert degree_vector(STAR3) == [1, 1, 1, 3]
+    assert _sorted(TRIANGLE, "degree") == [2, 2, 2]
+    assert _sorted(PATH2, "degree") == [1, 1, 2]
+    assert _sorted(STAR3, "degree") == [1, 1, 1, 3]
 
 
 def test_betweenness_vector_examples():
     # expected values frozen from the path-enumeration oracle (per node)
     assert betweenness_by_path_enumeration(PATH2) == [0, 2, 0]
     assert betweenness_by_path_enumeration(PATH3) == [0, 4, 4, 0]
-    assert betweenness_vector(TRIANGLE) == [0, 0, 0]
-    assert betweenness_vector(PATH2) == [0, 0, 2]
-    assert betweenness_vector(PATH3) == [0, 0, 4, 4]
+    assert _sorted(TRIANGLE, "betweenness") == [0, 0, 0]
+    assert _sorted(PATH2, "betweenness") == [0, 0, 2]
+    assert _sorted(PATH3, "betweenness") == [0, 0, 4, 4]
 
 
 def test_core_vector_examples():
     assert sorted(core_by_threshold(TRIANGLE)) == [2, 2, 2]
     assert sorted(core_by_threshold(PATH2)) == [1, 1, 1]
-    assert core_vector(TRIANGLE) == [2, 2, 2]
-    assert core_vector(PATH2) == [1, 1, 1]
-    assert core_vector(K2) == [1, 1]
+    assert _sorted(TRIANGLE, "core") == [2, 2, 2]
+    assert _sorted(PATH2, "core") == [1, 1, 1]
+    assert _sorted(K2, "core") == [1, 1]
 
 
 def test_clustering_vector_examples():
-    assert clustering_vector(TRIANGLE) == [1, 1, 1]
-    assert clustering_vector(PATH2) == [0, 0, 0]
-    assert clustering_vector(PAW) == [0, Fraction(1, 3), 1, 1]
+    assert _sorted(TRIANGLE, "clustering") == [1, 1, 1]
+    assert _sorted(PATH2, "clustering") == [0, 0, 0]
+    assert _sorted(PAW, "clustering") == [0, Fraction(1, 3), 1, 1]
     assert sorted(clustering_by_triple_scan(PAW)) == [0, Fraction(1, 3), 1, 1]
 
 
@@ -68,8 +73,8 @@ def test_measures_agree_with_oracles_on_random_graphlets():
         g = random_graphlet(rng, max_edges=7)
         assert betweenness_values(g) == betweenness_by_path_enumeration(g)
         assert betweenness_values(g) == betweenness_all_pairs(g)
-        assert core_vector(g) == sorted(core_by_threshold(g))
-        assert clustering_vector(g) == sorted(clustering_by_triple_scan(g))
+        assert _sorted(g, "core") == sorted(core_by_threshold(g))
+        assert _sorted(g, "clustering") == sorted(clustering_by_triple_scan(g))
 
 
 def test_brandes_betweenness_equals_references_on_all_classes_to_eight():
@@ -91,8 +96,8 @@ def test_fractional_measures_stay_exact():
     rng = random.Random(22)
     for _ in range(50):
         g = random_graphlet(rng, max_edges=6)
-        assert all(isinstance(v, Fraction) for v in betweenness_vector(g))
-        assert all(isinstance(v, Fraction) for v in clustering_vector(g))
+        assert all(isinstance(v, Fraction) for v in _sorted(g, "betweenness"))
+        assert all(isinstance(v, Fraction) for v in _sorted(g, "clustering"))
 
 
 def test_format_value():
@@ -104,9 +109,10 @@ def test_format_value():
 
 def test_hash_code_key_grammar():
     code = hash_code(TRIANGLE, "degree")
-    assert (code.n_edges, code.fn, code.topo_key, code.label_key) == (
-        3, "degree", "2,2,2", "")
+    assert (code.n_edges, code.fn, code.topo_key) == (3, "degree", "2,2,2")
+    assert code.node_label_key == code.edge_label_key == ""
     assert code.key == "3|degree|2,2,2||"
+    assert hash_code(TRIANGLE, "degree").key is code.key  # formatted once per code
     assert hash_code(K2, "degree").key == "1|degree|1,1||"
 
 
@@ -150,25 +156,3 @@ def test_resolve_auto_threshold():
     assert resolve_hash_function("core", 9) == "core"
     with pytest.raises(ValueError, match="unknown hash function"):
         resolve_hash_function("md5", 3)
-
-
-class _Stub:
-    def __init__(self, e_f):
-        self.e_f = e_f
-
-
-def test_select_hash_function_argmin_and_tiebreak():
-    # measured rates at size 7: betweenness is the clear argmin
-    reports7 = {
-        "betweenness": _Stub(Fraction(1, 3081)),
-        "core": _Stub(Fraction(68, 3081)),
-        "degree": _Stub(Fraction(44, 3081)),
-        "clustering": _Stub(Fraction(50, 3081)),
-    }
-    assert select_hash_function(list(HASH_FUNCTIONS), 7, reports7) == "betweenness"
-    # size 4: degree and betweenness both collision-free, degree is cheaper
-    reports4 = {"degree": _Stub(Fraction(0)), "betweenness": _Stub(Fraction(0))}
-    assert select_hash_function(["betweenness", "degree"], 4, reports4) == "degree"
-    assert select_hash_function(["core"], 4, {"core": _Stub(Fraction(1, 5))}) == "core"
-    with pytest.raises(ValueError, match="no candidate"):
-        select_hash_function([], 4, {})

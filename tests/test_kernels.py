@@ -8,13 +8,14 @@ from graphlets import (
     RankingPair,
     kernel_matrix,
     kernel_value,
-    knn_classify,
     knn_retrieval_scores,
     loo_knn_accuracy,
     ranking_pair,
     rho_score,
     write_precomputed_kernel,
 )
+
+from oracles import reference_knn
 
 DOT = KernelSpec("dot")
 HIST = KernelSpec("hist_intersection")
@@ -103,66 +104,85 @@ def test_dot_gram_matrix_is_psd():
     assert eigs.min() >= -1e-8
 
 
-def test_knn_classify_examples():
-    train = [[5, 0], [0, 5], [0, 6]]
-    labels = ["a", "b", "b"]
-    # query equal to a unique train item, k=1
-    assert knn_classify(train, labels, [5, 0], 1, HIST) == "a"
-    # k = |train|, all same label
-    assert knn_classify(train, ["z", "z", "z"], [1, 1], 3, HIST) == "z"
-    # 2-vs-1 neighborhood majority
-    assert knn_classify(train, labels, [0, 5], 3, HIST) == "b"
+def test_loo_knn_examples():
+    K = kernel_matrix([[5, 0], [0, 5], [0, 6]], HIST)
+    # k=1: the two b items retrieve each other; a's neighbors tie at 0
+    # and the first one (b) wins the slot
+    assert loo_knn_accuracy(K, ["a", "b", "b"], 1) == 2 / 3
+    # k = n - 1 with a single class is always right
+    assert loo_knn_accuracy(K, ["z", "z", "z"], 2) == 1.0
+    # 3-vs-0 neighborhood majority outvotes the lone a
+    K4 = kernel_matrix([[5, 0], [0, 5], [0, 6], [0, 4]], HIST)
+    assert loo_knn_accuracy(K4, ["a", "b", "b", "b"], 3) == 3 / 4
 
 
-def test_knn_classify_validation():
-    with pytest.raises(ValueError):
-        knn_classify([], [], [1], 1, DOT)
-    with pytest.raises(ValueError):
-        knn_classify([[1]], ["a"], [1], 2, DOT)
+def test_retrieval_validation():
+    K = kernel_matrix([[1], [2]], DOT)
+    for rank in (knn_retrieval_scores, loo_knn_accuracy):
+        with pytest.raises(ValueError, match="k must be"):
+            rank(K, ["a", "b"], 2)
+        with pytest.raises(ValueError, match="k must be"):
+            rank(K, ["a", "b"], 0)
+        with pytest.raises(ValueError, match="k must be"):
+            rank(kernel_matrix([[1]], DOT), ["a"], 1)
+        with pytest.raises(ValueError, match="align"):
+            rank(K, ["a"], 1)
+        with pytest.raises(ValueError, match="square"):
+            rank(K[:1], ["a"], 1)
 
 
 def test_knn_tie_breaks_are_deterministic():
-    train = [[1, 0], [1, 0]]
-    # equal similarity: first in manifest order wins the neighbor slot
-    assert knn_classify(train, ["b", "a"], [1, 0], 1, HIST) == "b"
+    K = kernel_matrix([[1, 0]] * 3, HIST)  # every pair ties
+    # equal similarity: the earlier item wins the neighbor slot
+    assert knn_retrieval_scores(K, ["a", "a", "b"], 1) == [2]
+    assert loo_knn_accuracy(K, ["a", "a", "b"], 1) == 2 / 3
     # label tie at k=2 resolves to the lexicographically smaller label
-    assert knn_classify(train, ["b", "a"], [1, 0], 2, HIST) == "a"
+    assert loo_knn_accuracy(K, ["a", "b", "a"], 2) == 2 / 3
 
 
 def test_knn_argmax_invariant_under_uniform_scaling():
     rng = random.Random(55)
-    train = [_random_counts(rng, 5, hi=9) for _ in range(12)]
-    labels = [rng.choice("xy") for _ in range(12)]
-    queries = [_random_counts(rng, 5, hi=9) for _ in range(10)]
-    for q in queries:
-        base = knn_classify(train, labels, q, 3, DOT)
-        scaled = knn_classify([[3 * v for v in row] for row in train], labels,
-                              [3 * v for v in q], 3, DOT)
-        assert base == scaled
+    for _ in range(10):
+        X = [_random_counts(rng, 5, hi=9) for _ in range(12)]
+        labels = [rng.choice("xy") for _ in range(12)]
+        K = kernel_matrix(X, DOT)
+        K3 = kernel_matrix([[3 * v for v in row] for row in X], DOT)
+        assert loo_knn_accuracy(K, labels, 3) == loo_knn_accuracy(K3, labels, 3)
+        assert knn_retrieval_scores(K, labels, 3) == knn_retrieval_scores(K3, labels, 3)
+
+
+def test_knn_ranking_equals_reference_sort_on_tie_heavy_data():
+    rng = random.Random(56)
+    specs = (DOT, HIST, COS, KernelSpec("rbf", gamma=0.5))
+    for _ in range(150):
+        n = rng.randint(2, 40)  # past 16 items, an unstable argsort reorders ties
+        dim = rng.randint(1, 3)
+        X = [_random_counts(rng, dim, hi=2) for _ in range(n)]  # many duplicates
+        labels = [rng.choice("abc") for _ in range(n)]
+        k = rng.randint(1, n - 1)
+        for spec in specs:
+            K = kernel_matrix(X, spec)
+            hits, accuracy = reference_knn(K, labels, k)
+            assert knn_retrieval_scores(K, labels, k) == hits, (X, labels, k, spec)
+            assert loo_knn_accuracy(K, labels, k) == accuracy, (X, labels, k, spec)
 
 
 def test_retrieval_perfect_separation():
     vectors = [[9, 0]] * 4 + [[0, 9]] * 4
     labels = ["a"] * 4 + ["b"] * 4
-    hits = knn_retrieval_scores(vectors, labels, 3, HIST)
+    hits = knn_retrieval_scores(kernel_matrix(vectors, HIST), labels, 3)
     assert hits == [8, 8, 8]
 
 
 def test_retrieval_single_class_k1():
-    vectors = [[1, 2], [2, 1], [3, 3]]
-    hits = knn_retrieval_scores(vectors, ["c", "c", "c"], 1, DOT)
-    assert hits == [3]
-
-
-def test_retrieval_validation():
-    with pytest.raises(ValueError):
-        knn_retrieval_scores([[1], [2]], ["a", "b"], 2, DOT)
+    K = kernel_matrix([[1, 2], [2, 1], [3, 3]], DOT)
+    assert knn_retrieval_scores(K, ["c", "c", "c"], 1) == [3]
 
 
 def test_loo_accuracy_perfect_dataset():
     vectors = [[9, 0]] * 4 + [[0, 9]] * 4
     labels = ["a"] * 4 + ["b"] * 4
-    assert loo_knn_accuracy(vectors, labels, 3, HIST) == 1.0
+    assert loo_knn_accuracy(kernel_matrix(vectors, HIST), labels, 3) == 1.0
 
 
 def test_rho_examples():
