@@ -141,7 +141,7 @@ def test_auto_resolves_in_reports():
     assert collision_report("auto", 5).fn == "betweenness"
 
 
-def test_auto_matches_lowest_measured_collision_rate():
+def test_select_hash_function_over_measured_reports():
     # HASH_FUNCTIONS is cheapest first, so min() breaks E(f) ties toward
     # the cheaper measure: degree (0 collisions) up to t=4, betweenness
     # (0, 0, 1, 5 against degree's 2, 11, 44, 167) from t=5 to t=8

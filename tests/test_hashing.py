@@ -156,3 +156,25 @@ def test_resolve_auto_threshold():
     assert resolve_hash_function("core", 9) == "core"
     with pytest.raises(ValueError, match="unknown hash function"):
         resolve_hash_function("md5", 3)
+
+
+def test_select_hash_function_argmin_and_tiebreak():
+    # tie at size 4: degree and betweenness both separate all 5 classes,
+    # and auto keeps the cheaper one (HASH_FUNCTIONS is cheapest first)
+    four = enumerate_connected(4)
+    for fn in ("degree", "betweenness"):
+        assert len({hash_code(g, fn).key for g in four}) == len(four)
+    assert HASH_FUNCTIONS.index("degree") < HASH_FUNCTIONS.index("betweenness")
+    assert resolve_hash_function("auto", 4) == "degree"
+    # argmin at size 5: these pairs share a degree code, betweenness
+    # separates them, and auto switches to betweenness
+    pairs = [
+        (Graphlet(5, ((0, 1), (0, 2), (0, 3), (1, 2), (3, 4))),
+         Graphlet(5, ((0, 1), (0, 2), (0, 3), (1, 4), (2, 4)))),
+        (Graphlet(6, ((0, 1), (0, 2), (0, 3), (1, 4), (2, 5))),
+         Graphlet(6, ((0, 1), (0, 2), (0, 3), (1, 4), (4, 5)))),
+    ]
+    for a, b in pairs:
+        assert hash_code(a, "degree").key == hash_code(b, "degree").key
+        assert hash_code(a, "auto").key != hash_code(b, "auto").key
+    assert resolve_hash_function("auto", 5) == "betweenness"

@@ -131,6 +131,14 @@ def test_retrieval_validation():
             rank(K[:1], ["a"], 1)
 
 
+def test_knn_classify_validation():
+    # the leave-one-out classifier needs a neighbor besides the query
+    with pytest.raises(ValueError, match="k must be"):
+        loo_knn_accuracy(np.zeros((0, 0)), [], 1)
+    with pytest.raises(ValueError, match="k must be"):
+        loo_knn_accuracy(kernel_matrix([[1], [2]], DOT), ["a", "b"], 2)
+
+
 def test_knn_tie_breaks_are_deterministic():
     K = kernel_matrix([[1, 0]] * 3, HIST)  # every pair ties
     # equal similarity: the earlier item wins the neighbor slot
