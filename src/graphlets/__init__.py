@@ -33,7 +33,6 @@ from .graphs import (
     GraphFormatError,
     Graphlet,
     ManifestEntry,
-    count_components,
     load_graphs,
     load_manifest,
     parse_graph_file,
@@ -91,7 +90,6 @@ __all__ = [
     "build_vocabulary",
     "collision_report",
     "connected_graph_count",
-    "count_components",
     "embed_graph_stats",
     "enumerate_connected",
     "finalize_embeddings",

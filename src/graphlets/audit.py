@@ -21,18 +21,19 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-from .graphs import Graphlet, serialize_graph
+from .graphs import Graph, Graphlet, adjacency_lists, serialize_graph
 from .hashing import measure_values, resolve_hash_function
 
 MAX_ORACLE_NODES = 12
 MAX_ENUM_EDGES = 10
 
 
-def _signatures(g: Graphlet) -> list[tuple]:
-    degs = [len(ns) for ns in g.adjacency]
+def _signatures(g: Graphlet, adj: tuple[tuple[int, ...], ...]) -> list[tuple]:
+    """Per node: degree, label, and the sorted degrees of its neighbours."""
+    degs = [len(ns) for ns in adj]
     labels = g.node_labels or ("",) * g.n_nodes
     return [
-        (degs[u], labels[u], tuple(sorted(degs[w] for w in g.adjacency[u])))
+        (degs[u], labels[u], tuple(sorted(degs[w] for w in adj[u])))
         for u in range(g.n_nodes)
     ]
 
@@ -49,31 +50,27 @@ def is_isomorphic(g1: Graphlet, g2: Graphlet) -> bool:
     if g1.n_nodes != g2.n_nodes or g1.n_edges != g2.n_edges:
         return False
 
-    sig1, sig2 = _signatures(g1), _signatures(g2)
+    nbrs1 = adjacency_lists(g1.n_nodes, g1.edges)
+    nbrs2 = adjacency_lists(g2.n_nodes, g2.edges)
+    sig1, sig2 = _signatures(g1, nbrs1), _signatures(g2, nbrs2)
     if sorted(sig1) != sorted(sig2):
         return False
     if g1.edge_labels is not None and sorted(g1.edge_labels) != sorted(g2.edge_labels):
         return False
 
     n = g1.n_nodes
-    adj1 = [set(ns) for ns in g1.adjacency]
-    adj2 = [set(ns) for ns in g2.adjacency]
-    elab1, elab2 = g1.edge_label_map, g2.edge_label_map
+    adj1 = [set(ns) for ns in nbrs1]
+    adj2 = [set(ns) for ns in nbrs2]
+    elab1 = dict(zip(g1.edges, g1.edge_labels or ()))
+    elab2 = dict(zip(g2.edges, g2.edge_labels or ()))
     candidates = [[y for y in range(n) if sig2[y] == sig1[x]] for x in range(n)]
 
-    # Place nodes of g1 so each one (after the first) touches a placed node.
-    order: list[int] = []
-    placed = [False] * n
-    first = max(range(n), key=lambda u: (len(adj1[u]), -u))
-    order.append(first)
-    placed[first] = True
-    while len(order) < n:
-        nxt = max(
-            (u for u in range(n) if not placed[u]),
-            key=lambda u: (sum(placed[w] for w in adj1[u]), len(adj1[u]), -u),
-        )
-        order.append(nxt)
-        placed[nxt] = True
+    # Place nodes of g1 breadth-first from a maximum-degree node, so each
+    # node of its component (after the first) touches a placed node.
+    order = [max(range(n), key=lambda u: (len(nbrs1[u]), -u))]
+    for u in order:
+        order.extend(w for w in nbrs1[u] if w not in order)
+    order.extend(u for u in range(n) if u not in order)
 
     mapping = [-1] * n
     used = [False] * n
@@ -110,13 +107,6 @@ def is_isomorphic(g1: Graphlet, g2: Graphlet) -> bool:
     return extend(0)
 
 
-def _bucket_key(g: Graphlet) -> tuple:
-    degs = [len(ns) for ns in g.adjacency]
-    nbr = tuple(sorted(tuple(sorted(degs[w] for w in g.adjacency[u]))
-                       for u in range(g.n_nodes)))
-    return (g.n_nodes, tuple(sorted(degs)), nbr)
-
-
 def _extensions(g: Graphlet) -> list[Graphlet]:
     present = set(g.edges)
     out = []
@@ -141,7 +131,8 @@ def _enumerated(n_edges: int) -> tuple[Graphlet, ...]:
     buckets: dict[tuple, list[Graphlet]] = {}
     for parent in _enumerated(n_edges - 1):
         for child in _extensions(parent):
-            bucket = buckets.setdefault(_bucket_key(child), [])
+            adj = adjacency_lists(child.n_nodes, child.edges)
+            bucket = buckets.setdefault(tuple(sorted(_signatures(child, adj))), [])
             if any(is_isomorphic(child, seen) for seen in bucket):
                 continue
             bucket.append(child)
@@ -215,11 +206,12 @@ def format_report(report: CollisionReport) -> str:
             float(report.e_f),
         ),
     ]
-    for k, (a, b) in enumerate(report.colliding_pairs):
+    for k, pair in enumerate(report.colliding_pairs):
         stem = f"{report.fn}-t{report.n_edges}-pair{k}"
         lines.append(f"# colliding pair {k}")
-        lines.append(serialize_graph(a.to_graph(f"{stem}-a")).rstrip("\n"))
-        lines.append(serialize_graph(b.to_graph(f"{stem}-b")).rstrip("\n"))
+        for side, a in zip("ab", pair):
+            g = Graph(f"{stem}-{side}", a.n_nodes, a.edges, a.node_labels, a.edge_labels)
+            lines.append(serialize_graph(g).rstrip("\n"))
     return "\n".join(lines) + "\n"
 
 

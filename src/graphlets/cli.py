@@ -87,15 +87,14 @@ def _pmap(fn, jobs, threads: int):
 def _embed_worker(job):
     graph, batches, alpha, seed, fn = job
     counts: dict[str, int] = {}
-    dead = emitted = 0
+    dead = 0
     for runs, max_edges, min_edges, offset in batches:
         params = SamplerParams(runs=runs, max_edges=max_edges, alpha=alpha, seed=seed)
-        got, d, e = embed_graph_stats(graph, params, fn, min_edges, offset)
+        got, d = embed_graph_stats(graph, params, fn, min_edges, offset)
         for key, c in got.items():
             counts[key] = counts.get(key, 0) + c
         dead += d
-        emitted += e
-    return graph.id, counts, dead, emitted
+    return graph.id, counts, dead
 
 
 def _resolve_budgets(args) -> list[tuple[int, int, int, int]]:
@@ -172,16 +171,14 @@ def cmd_embed(args) -> int:
 
     train_ids = {e.graph_id for e in manifest if e.split == "train"}
     if args.vocab_scope == "all" or not train_ids:
-        vocab_maps = [counts for _, counts, _, _ in results]
+        vocab_maps = [counts for _, counts, _ in results]
     else:
-        vocab_maps = [
-            counts for gid, counts, _, _ in results if gid in train_ids
-        ]
+        vocab_maps = [counts for gid, counts, _ in results if gid in train_ids]
     vocab = build_vocabulary(vocab_maps)
 
     runs_total = sum(b[0] for b in batches)
     embeddings = finalize_embeddings(
-        [(gid, counts) for gid, counts, _, _ in results], vocab
+        [(gid, counts) for gid, counts, _ in results], vocab
     )
 
     os.makedirs(args.out, exist_ok=True)
@@ -194,7 +191,7 @@ def cmd_embed(args) -> int:
         f"embedded {len(embeddings)} graphs: bins={len(vocab)} "
         f"runs={runs_total} batches={len(batches)} hash={args.hash}"
     )
-    for emb, (_, _, dead, _) in zip(embeddings, results):
+    for emb, (_, _, dead) in zip(embeddings, results):
         print(
             f"graph {emb.graph_id}: counts={emb.total} dead_end_runs={dead} "
             f"oov={emb.oov_count}"

@@ -58,13 +58,12 @@ def embed_graph_stats(
     fn: str = "auto",
     min_edges: int = 1,
     run_offset: int = 0,
-) -> tuple[dict[str, int], int, int]:
+) -> tuple[dict[str, int], int]:
     """Sample a graph and histogram its graphlet codes.
 
-    Returns (code->count map, number of dead-end runs, graphlets
-    counted). Only graphlets with at least ``min_edges`` edges are
-    hashed; the map sums to runs * (max_edges - min_edges + 1) when no
-    run dead-ends.
+    Returns (code->count map, number of dead-end runs). Only graphlets
+    with at least ``min_edges`` edges are hashed; the map sums to
+    runs * (max_edges - min_edges + 1) when no run dead-ends.
     """
     if not 1 <= min_edges <= params.max_edges:
         raise ValueError(
@@ -72,14 +71,12 @@ def embed_graph_stats(
         )
     counts: Counter[str] = Counter()
     dead_ends = 0
-    emitted = 0
     for trace in sample_all(graph, params, run_offset):
         if trace.dead_end:
             dead_ends += 1
-        for step in trace.steps[min_edges - 1 :]:
-            counts[hash_code(step, fn).key] += 1
-            emitted += 1
-    return dict(counts), dead_ends, emitted
+        for g in trace.graphlets[min_edges - 1 :]:
+            counts[hash_code(g, fn).key] += 1
+    return dict(counts), dead_ends
 
 
 def build_vocabulary(maps: Iterable[Mapping[str, int]]) -> Vocabulary:

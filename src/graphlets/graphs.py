@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import IO, Iterable, Mapping, Sequence
+from typing import IO, Iterable, Mapping, NamedTuple, Sequence
 
 SPLITS = ("train", "valid", "test", "unsplit")
 
@@ -51,25 +51,6 @@ def adjacency_lists(
         nbrs[u].append(v)
         nbrs[v].append(u)
     return tuple(tuple(sorted(ns)) for ns in nbrs)
-
-
-def count_components(n_nodes: int, edges: Iterable[tuple[int, int]]) -> int:
-    """Number of connected components, via union-find."""
-    parent = list(range(n_nodes))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    count = n_nodes
-    for u, v in edges:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-            count -= 1
-    return count
 
 
 @dataclass(frozen=True)
@@ -140,67 +121,23 @@ class Graph:
         return self
 
 
-@dataclass(frozen=True)
-class Graphlet:
-    """Connected subgraph snapshot, re-indexed to local nodes 0..k-1.
+class Graphlet(NamedTuple):
+    """Connected subgraph over local nodes 0..n_nodes-1.
 
-    ``parent_nodes`` optionally records which parent-graph node each
-    local index came from (position i holds the parent id of local
-    node i). Labels, when present, are inherited from the parent.
+    ``edges`` are sorted local ``(u, v)`` pairs with ``u < v``. Labels,
+    when present, are aligned with the local nodes and with ``edges``.
+    The sampler emits one per walk step; enumeration and the hash codes
+    read the same fields.
     """
 
     n_nodes: int
     edges: tuple[tuple[int, int], ...]
     node_labels: tuple[str, ...] | None = None
     edge_labels: tuple[str, ...] | None = None
-    parent_nodes: tuple[int, ...] | None = None
 
     @property
     def n_edges(self) -> int:
         return len(self.edges)
-
-    @cached_property
-    def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        return adjacency_lists(self.n_nodes, self.edges)
-
-    @cached_property
-    def edge_label_map(self) -> dict[tuple[int, int], str]:
-        if self.edge_labels is None:
-            return {}
-        return {e: lbl for e, lbl in zip(self.edges, self.edge_labels)}
-
-    def is_connected(self) -> bool:
-        return count_components(self.n_nodes, self.edges) == 1
-
-    def parent_edge_set(self) -> set[tuple[int, int]]:
-        """Edges expressed in parent-graph node ids."""
-        if self.parent_nodes is None:
-            raise ValueError("graphlet has no parent mapping")
-        p = self.parent_nodes
-        return {edge_key(p[u], p[v]) for u, v in self.edges}
-
-    def to_graph(self, graph_id: str) -> Graph:
-        return Graph(
-            graph_id, self.n_nodes, self.edges, self.node_labels, self.edge_labels
-        ).validate()
-
-    def validate(self) -> "Graphlet":
-        if self.n_nodes < 2 or not self.edges:
-            raise ValueError("graphlet must have at least one edge")
-        bad = [e for e in self.edges if not (0 <= e[0] < e[1] < self.n_nodes)]
-        if bad:
-            raise ValueError(f"invalid local edges: {bad}")
-        if len(set(self.edges)) != len(self.edges):
-            raise ValueError("duplicate edges in graphlet")
-        if not self.is_connected():
-            raise ValueError("graphlet is not connected")
-        if self.node_labels is not None and len(self.node_labels) != self.n_nodes:
-            raise ValueError("node label count mismatch")
-        if self.edge_labels is not None and len(self.edge_labels) != len(self.edges):
-            raise ValueError("edge label count mismatch")
-        if self.parent_nodes is not None and len(set(self.parent_nodes)) != self.n_nodes:
-            raise ValueError("parent mapping is not injective")
-        return self
 
 
 @dataclass(frozen=True)

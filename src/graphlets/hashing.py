@@ -5,7 +5,9 @@ number, local clustering coefficient, or betweenness centrality),
 sorted into a canonical ascending vector. Fractional measures are kept
 as exact rationals so codes never depend on float formatting. Labelled
 graphlets additionally carry node/edge label signatures ordered by the
-measure-sorted node ranking.
+measure-sorted node ranking. A code reads only a ``Graphlet``'s node
+count, local edges and labels, so sampled and enumerated graphlets hash
+alike, and codes are cached on those four fields.
 
 Code string grammar (the persisted vocabulary key):
 
@@ -23,8 +25,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations
 
-from .graphs import Graphlet
-from .sampling import Step
+from .graphs import Graphlet, adjacency_lists
 
 HASH_FUNCTIONS = ("degree", "core", "clustering", "betweenness")  # cheapest first
 AUTO_THRESHOLD = 4  # auto: degree up to 4 edges, betweenness beyond
@@ -41,7 +42,7 @@ def resolve_hash_function(fn: str, n_edges: int) -> str:
 
 def degree_values(g: Graphlet) -> list[int]:
     """Per-node degrees, in node order."""
-    return [len(ns) for ns in g.adjacency]
+    return [len(ns) for ns in adjacency_lists(g.n_nodes, g.edges)]
 
 
 def core_values(g: Graphlet) -> list[int]:
@@ -51,7 +52,7 @@ def core_values(g: Graphlet) -> list[int]:
     number of a node is the largest minimum degree seen up to its
     removal.
     """
-    adj = [set(ns) for ns in g.adjacency]
+    adj = [set(ns) for ns in adjacency_lists(g.n_nodes, g.edges)]
     deg = {u: len(adj[u]) for u in range(g.n_nodes)}
     core = [0] * g.n_nodes
     k = 0
@@ -73,7 +74,7 @@ def clustering_values(g: Graphlet) -> list[Fraction]:
     Ratio of triangles through the node to triples centred on it;
     zero for nodes of degree < 2.
     """
-    adj = [set(ns) for ns in g.adjacency]
+    adj = [set(ns) for ns in adjacency_lists(g.n_nodes, g.edges)]
     out: list[Fraction] = []
     for u in range(g.n_nodes):
         d = len(adj[u])
@@ -97,7 +98,7 @@ def betweenness_values(g: Graphlet) -> list[Fraction]:
     sources' dependencies are summed over the lcm of their L.
     """
     n = g.n_nodes
-    adj = g.adjacency
+    adj = adjacency_lists(n, g.edges)
     per_source: list[tuple[int, list[int]]] = []  # (L, dependency numerators)
     for s in range(n):
         dist = [-1] * n
@@ -178,9 +179,7 @@ def _hash_code_cached(
     node_labels: tuple[str, ...] | None,
     edge_labels: tuple[str, ...] | None,
 ) -> HashCode:
-    g = Graphlet(n_nodes=n_nodes, edges=edges,
-                 node_labels=node_labels, edge_labels=edge_labels)
-    values = measure_values(g, fn)
+    values = measure_values(Graphlet(n_nodes, edges, node_labels, edge_labels), fn)
     topo_key = ",".join(format_value(v) for v in sorted(values))
 
     node_label_key = ""
@@ -206,11 +205,7 @@ def _hash_code_cached(
     return HashCode(len(edges), fn, topo_key, node_label_key, edge_label_key)
 
 
-def hash_code(g: Graphlet | Step, fn: str = "auto") -> HashCode:
-    """Permutation-invariant code for a graphlet under a hash function.
-
-    Accepts a ``Graphlet`` or a sampler ``Step``; only the local
-    structure and labels are read.
-    """
+def hash_code(g: Graphlet, fn: str = "auto") -> HashCode:
+    """Permutation-invariant code for a graphlet under a hash function."""
     resolved = resolve_hash_function(fn, g.n_edges)
     return _hash_code_cached(resolved, g.n_nodes, g.edges, g.node_labels, g.edge_labels)

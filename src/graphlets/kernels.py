@@ -172,8 +172,7 @@ def write_precomputed_kernel(
         raise ValueError("kernel matrix must be square")
     if len(labels) != n:
         raise ValueError("labels do not align with the kernel matrix")
+    row = " ".join(f"{j + 1}:%.17g" for j in range(n))  # one format call per row
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for i in range(n):
-            cells = [f"{labels[i]}", f"0:{i + 1}"]
-            cells += [f"{j + 1}:{K[i, j]:.17g}" for j in range(n)]
-            fh.write(" ".join(cells) + "\n")
+        for i, values in enumerate(K.tolist()):
+            fh.write(f"{labels[i]} 0:{i + 1} " + row % tuple(values) + "\n")

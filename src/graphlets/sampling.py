@@ -6,11 +6,11 @@ edge incident to the already-visited node set. The graphlet after step
 k is the walk's first k edges, re-indexed to local nodes in visiting
 order, so a run yields one connected graphlet per edge count 1..t_end.
 The sampler keeps the local edges sorted as the walk grows and records
-each step as a plain ``Step`` (node count, sorted local edges, labels);
-full ``Graphlet`` objects are built only on request. Runs are mutually
-independent and fully reproducible: the random stream of a run is
-derived only from (seed, graph id, run index), so results never depend
-on scheduling or thread count.
+each step as a ``Graphlet`` (node count, sorted local edges, labels);
+the walk's visiting order maps local nodes back to the parent graph.
+Runs are mutually independent and fully reproducible: the random stream
+of a run is derived only from (seed, graph id, run index), so results
+never depend on scheduling or thread count.
 """
 
 from __future__ import annotations
@@ -20,8 +20,6 @@ import math
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property
-from typing import NamedTuple
 
 from .graphs import Graph, Graphlet, edge_key
 
@@ -81,45 +79,18 @@ class SamplerParams:
             raise ValueError("seed must be a nonnegative integer")
 
 
-class Step(NamedTuple):
-    """The graphlet after one walk step, over local nodes 0..n_nodes-1.
-
-    ``edges`` are sorted local ``(u, v)`` pairs with ``u < v``; labels,
-    when the parent graph has them, are aligned with the local nodes
-    and with ``edges``. It carries what ``hashing.hash_code`` reads.
-    """
-
-    n_nodes: int
-    edges: tuple[tuple[int, int], ...]
-    node_labels: tuple[str, ...] | None
-    edge_labels: tuple[str, ...] | None
-
-    @property
-    def n_edges(self) -> int:
-        return len(self.edges)
-
-
 @dataclass(frozen=True)
 class RunTrace:
-    """One walk: step i holds the graphlet with i+1 edges.
+    """One walk: ``graphlets[i]`` is the graphlet with i+1 edges.
 
     ``order`` lists the parent-graph node behind each local node, so
-    step i covers parent nodes ``order[:steps[i].n_nodes]``. dead_end is
-    set when the walk stopped before exhausting its edge budget.
+    graphlet ``g`` covers parent nodes ``order[:g.n_nodes]``. dead_end
+    is set when the walk stopped before exhausting its edge budget.
     """
 
     order: tuple[int, ...]
-    steps: tuple[Step, ...]
+    graphlets: tuple[Graphlet, ...]
     dead_end: bool
-
-    @cached_property
-    def graphlets(self) -> tuple[Graphlet, ...]:
-        """The steps as ``Graphlet`` snapshots carrying ``parent_nodes``."""
-        return tuple(
-            Graphlet(s.n_nodes, s.edges, s.node_labels, s.edge_labels,
-                     self.order[: s.n_nodes])
-            for s in self.steps
-        )
 
 
 def run_rng(seed: int, graph_id: str, run_index: int) -> random.Random:
@@ -130,7 +101,7 @@ def run_rng(seed: int, graph_id: str, run_index: int) -> random.Random:
 
 
 def sample_run(graph: Graph, params: SamplerParams, run_index: int) -> RunTrace:
-    """Execute one walk and return its per-size graphlet steps.
+    """Execute one walk and return its per-size graphlets.
 
     At each step the eligible set holds every visited node that still
     has an unvisited incident edge, in visiting order. With probability
@@ -160,7 +131,7 @@ def sample_run(graph: Graph, params: SamplerParams, run_index: int) -> RunTrace:
     loc_edges: list[tuple[int, int]] = []  # kept sorted
     loc_edge_labels: list[str] | None = [] if graph.edge_labels is not None else None
     frontier = start
-    steps: list[Step] = []
+    graphlets: list[Graphlet] = []
 
     for _ in range(params.max_edges):
         if not eligible:
@@ -192,14 +163,14 @@ def sample_run(graph: Graph, params: SamplerParams, run_index: int) -> RunTrace:
         loc_edges.insert(i, e)
         if loc_edge_labels is not None:
             loc_edge_labels.insert(i, graph.edge_label(u, v))  # type: ignore[arg-type]
-        steps.append(Step(
+        graphlets.append(Graphlet(
             len(order),
             tuple(loc_edges),
             tuple(loc_nodes) if loc_nodes is not None else None,
             tuple(loc_edge_labels) if loc_edge_labels is not None else None,
         ))
 
-    return RunTrace(tuple(order), tuple(steps), dead_end=len(steps) < params.max_edges)
+    return RunTrace(tuple(order), tuple(graphlets), len(graphlets) < params.max_edges)
 
 
 def sample_all(graph: Graph, params: SamplerParams, run_offset: int = 0) -> list[RunTrace]:

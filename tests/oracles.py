@@ -10,7 +10,7 @@ references that the faster replacements must match exactly.
 
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 from graphlets.graphs import Graphlet, edge_key
 from graphlets.sampling import run_rng
@@ -38,6 +38,55 @@ def flood_fill_components(n_nodes, edges):
     return count
 
 
+def neighbour_sets(g):
+    """Neighbour set of each node of a graphlet, from its edge list."""
+    adj = [set() for _ in range(g.n_nodes)]
+    for u, v in g.edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    return adj
+
+
+def check_graphlet(g):
+    """Raise AssertionError unless g is a well-formed graphlet: at least
+    one edge, local edges in range, normalised, sorted and unique, one
+    connected component, and labels aligned with nodes and edges."""
+    n, edges = g.n_nodes, g.edges
+    if not edges:
+        raise AssertionError("graphlet has no edges")
+    if not all(0 <= u < v < n for u, v in edges):
+        raise AssertionError(f"local edges out of range or unnormalised: {edges}")
+    if list(edges) != sorted(set(edges)):
+        raise AssertionError(f"local edges not sorted and unique: {edges}")
+    if flood_fill_components(n, edges) != 1:
+        raise AssertionError(f"graphlet is not connected: {g}")
+    if g.node_labels is not None and len(g.node_labels) != n:
+        raise AssertionError("node label count mismatch")
+    if g.edge_labels is not None and len(g.edge_labels) != len(edges):
+        raise AssertionError("edge label count mismatch")
+    return g
+
+
+def isomorphic_by_permutation(g1, g2):
+    """Isomorphism by trying every bijection of g1's nodes onto g2's,
+    requiring equal node labels and every edge of g1 to map onto an
+    edge of g2 with the same label."""
+    n = g1.n_nodes
+    if n != g2.n_nodes or len(g1.edges) != len(g2.edges):
+        return False
+    nl1 = g1.node_labels or (None,) * n
+    nl2 = g2.node_labels or (None,) * n
+    el1 = list(zip(g1.edges, g1.edge_labels or (None,) * len(g1.edges)))
+    el2 = dict(zip(g2.edges, g2.edge_labels or (None,) * len(g2.edges)))
+    for perm in permutations(range(n)):
+        if all(nl1[u] == nl2[perm[u]] for u in range(n)) and all(
+            edge_key(perm[u], perm[v]) in el2 and el2[edge_key(perm[u], perm[v])] == lbl
+            for (u, v), lbl in el1
+        ):
+            return True
+    return False
+
+
 def _all_simple_paths(adj, s, t):
     paths = []
 
@@ -63,7 +112,7 @@ def betweenness_by_path_enumeration(g: Graphlet):
     shortest paths running through it.
     """
     n = g.n_nodes
-    adj = g.adjacency
+    adj = neighbour_sets(g)
     btw = [Fraction(0)] * n
     for s in range(n):
         for t in range(n):
@@ -85,13 +134,14 @@ def core_by_threshold(g: Graphlet):
     """Core numbers by testing each threshold c separately: iteratively
     delete nodes of degree < c and record who survives."""
     n = g.n_nodes
+    adj = neighbour_sets(g)
     core = [0] * n
     for c in range(1, n + 1):
         alive = set(range(n))
         while True:
             doomed = {
                 u for u in alive
-                if sum(1 for w in g.adjacency[u] if w in alive) < c
+                if sum(1 for w in adj[u] if w in alive) < c
             }
             if not doomed:
                 break
@@ -105,9 +155,10 @@ def clustering_by_triple_scan(g: Graphlet):
     """Clustering coefficients by scanning all node triples for triangles."""
     n = g.n_nodes
     edges = set(g.edges)
+    adj = neighbour_sets(g)
     out = []
     for u in range(n):
-        nbrs = set(g.adjacency[u])
+        nbrs = adj[u]
         d = len(nbrs)
         if d < 2:
             out.append(Fraction(0))
@@ -166,7 +217,7 @@ def betweenness_all_pairs(g: Graphlet):
     implementation, kept as the reference for its Brandes replacement.
     """
     n = g.n_nodes
-    adj = g.adjacency
+    adj = neighbour_sets(g)
     INF = n + 1
     dist = [[INF] * n for _ in range(n)]
     sigma = [[0] * n for _ in range(n)]
@@ -209,12 +260,11 @@ def _snapshot(graph, order, local, walk_edges):
             for a, b in walk_edges
         }
         edge_labels = tuple(by_local[e] for e in loc_edges)
-    return Graphlet(len(order), tuple(loc_edges), node_labels, edge_labels,
-                    tuple(order))
+    return Graphlet(len(order), tuple(loc_edges), node_labels, edge_labels)
 
 
 def reference_sample_run(graph, params, run_index):
-    """The package's former sampler: (graphlets, dead_end) of one run.
+    """The package's former sampler: (order, graphlets, dead_end) of one run.
 
     It rebuilds the eligible list from scratch, filters the chosen
     node's edges against a visited set, and re-sorts every walk edge
@@ -251,7 +301,7 @@ def reference_sample_run(graph, params, run_index):
         residual[v] -= 1
         frontier = v
         snaps.append(_snapshot(graph, order, local, walk_edges))
-    return tuple(snaps), len(snaps) < params.max_edges
+    return tuple(order), tuple(snaps), len(snaps) < params.max_edges
 
 
 def reference_neighbor_order(sims, skip):

@@ -2,6 +2,8 @@
 
 from graphlets.graphs import Graph, Graphlet, ManifestEntry, edge_key
 
+from oracles import check_graphlet
+
 NODE_ALPHABET = ("A", "B", "C")
 EDGE_ALPHABET = ("x", "y")
 
@@ -76,7 +78,7 @@ def random_graphlet(rng, max_edges=8, labeled=False) -> Graphlet:
     if labeled:
         node_labels = tuple(rng.choice(NODE_ALPHABET) for _ in range(n))
         edge_labels = tuple(rng.choice(EDGE_ALPHABET) for _ in ordered)
-    return Graphlet(n, ordered, node_labels, edge_labels).validate()
+    return check_graphlet(Graphlet(n, ordered, node_labels, edge_labels))
 
 
 def permute_graphlet(g: Graphlet, rng) -> Graphlet:

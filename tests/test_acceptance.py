@@ -33,6 +33,7 @@ from graphlets.hashing import HASH_FUNCTIONS
 from graphlets.kernels import KernelSpec
 from graphlets import build_vocabulary, finalize_embeddings, save_graphs, save_manifest
 
+from oracles import flood_fill_components
 from synth import (
     permute_graphlet,
     random_connected_graph,
@@ -257,10 +258,11 @@ def test_criterion_05_sampler_structure_100_graphs():
             prev = set()
             for step, glet in enumerate(trace.graphlets, start=1):
                 checked += 1
-                parent_edges = glet.parent_edge_set()
+                p = trace.order[: glet.n_nodes]
+                parent_edges = {edge_key(p[u], p[v]) for u, v in glet.edges}
                 ok = (
                     glet.n_edges == step
-                    and glet.is_connected()
+                    and flood_fill_components(glet.n_nodes, glet.edges) == 1
                     and prev <= parent_edges
                     and len(parent_edges) == step
                     and all(edge_key(*e) in g.edge_index for e in parent_edges)
@@ -276,7 +278,7 @@ def test_criterion_05_sampler_structure_100_graphs():
         max_edges = rng.randint(1, min(8, g.n_edges))
         min_edges = rng.randint(1, max_edges)
         params = SamplerParams(runs=6, max_edges=max_edges, seed=1000 + i)
-        counts, dead, _ = embed_graph_stats(g, params, "auto", min_edges)
+        counts, dead = embed_graph_stats(g, params, "auto", min_edges)
         if dead or sum(counts.values()) != 6 * (max_edges - min_edges + 1):
             sum_bad.append(g.id)
     _criterion(

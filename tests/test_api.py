@@ -1,4 +1,13 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import graphlets
+from graphlets import hashing
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_all_is_sorted_unique_and_resolves():
@@ -6,3 +15,31 @@ def test_all_is_sorted_unique_and_resolves():
     assert names == sorted(names)
     assert len(set(names)) == len(names)
     assert [n for n in names if not hasattr(graphlets, n)] == []
+
+
+# Installs the benchmark's tracer, which wraps library names from outside
+# and reports a renamed one as "not measured" instead of failing, then
+# runs one traced embed so its hooks read a real RunTrace and Graphlet.
+_TRACED_EMBED = """
+import json, sys, tracer
+t = tracer.Tracer()
+tracer.install(t)
+import graphlets.cli as cli
+from graphlets import SamplerParams, parse_graph_file
+g = parse_graph_file("t g\\nv 0\\nv 1\\nv 2\\ne 0 1\\ne 1 2\\ne 0 2")[0]
+cli.embed_graph_stats(g, SamplerParams(runs=3, max_edges=3, seed=0))
+json.dump(t.missing, sys.stdout)
+"""
+
+
+def test_benchmark_instrumentation_finds_every_name_it_wraps():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")])
+    proc = subprocess.run([sys.executable, "-c", _TRACED_EMBED], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {}
+    trace = graphlets.sample_run(graphlets.parse_graph_file("t g\nv 0\nv 1\ne 0 1")[0],
+                                 graphlets.SamplerParams(runs=1, max_edges=2), 0)
+    assert len(trace.graphlets) == 1 and trace.dead_end
+    assert callable(hashing._hash_code_cached.cache_info)

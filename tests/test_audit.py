@@ -1,4 +1,6 @@
+import hashlib
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -18,6 +20,7 @@ from graphlets import (
 from graphlets.audit import audit_code
 from graphlets.hashing import degree_values
 
+from oracles import check_graphlet, isomorphic_by_permutation
 from synth import permute_graphlet, random_graphlet
 
 TRIANGLE = Graphlet(3, ((0, 1), (0, 2), (1, 2)))
@@ -32,7 +35,7 @@ def test_enumeration_counts_up_to_six():
 def test_enumerated_graphs_are_valid_and_connected():
     for t in range(1, 7):
         for g in enumerate_connected(t):
-            g.validate()
+            check_graphlet(g)
             assert g.n_edges == t
 
 
@@ -73,6 +76,55 @@ def test_oracle_reflexive_symmetric_and_relabel_invariant():
         assert is_isomorphic(g, g)
         assert is_isomorphic(g, h) and is_isomorphic(h, g)
         assert is_isomorphic(g, other) == is_isomorphic(other, g)
+
+
+def _shuffled(g, rng, nodes):
+    """g with its node labels (nodes) or its edge labels shuffled."""
+    labels = list((g.node_labels if nodes else g.edge_labels) or ())
+    rng.shuffle(labels)
+    if nodes:
+        return Graphlet(g.n_nodes, g.edges, tuple(labels), g.edge_labels)
+    return Graphlet(g.n_nodes, g.edges, g.node_labels, tuple(labels))
+
+
+def _union(g, h):
+    """Disjoint union of two unlabelled graphlets, h's nodes after g's."""
+    shifted = tuple((u + g.n_nodes, v + g.n_nodes) for u, v in h.edges)
+    return Graphlet(g.n_nodes + h.n_nodes, g.edges + shifted)
+
+
+def test_oracle_equals_permutation_search_on_small_graphlets():
+    rng = random.Random(43)
+    pairs = []
+    for trial in range(200):
+        labeled = trial % 2 == 0
+        g = random_graphlet(rng, max_edges=6, labeled=labeled)
+        h = permute_graphlet(g, rng)
+        pairs.append((g, h))  # permuted copy
+        pairs.append((g, random_graphlet(rng, max_edges=6, labeled=labeled)))
+        if labeled:  # same structure and label multisets, maybe moved labels
+            pairs.append((g, _shuffled(h, rng, nodes=True)))
+            pairs.append((g, _shuffled(h, rng, nodes=False)))
+    # distinct classes with equal degree sequences, plain and labelled alike
+    for t in range(1, 7):
+        for a, b in combinations(enumerate_connected(t), 2):
+            if sorted(degree_values(a)) == sorted(degree_values(b)):
+                pairs.append((a, permute_graphlet(b, rng)))
+                la = Graphlet(a.n_nodes, a.edges, ("A",) * a.n_nodes, ("x",) * t)
+                lb = Graphlet(b.n_nodes, b.edges, ("A",) * b.n_nodes, ("x",) * t)
+                pairs.append((la, permute_graphlet(lb, rng)))
+    # disconnected inputs: the search places every component's nodes
+    for trial in range(30):
+        a = _union(random_graphlet(rng, max_edges=2), random_graphlet(rng, max_edges=2))
+        b = _union(random_graphlet(rng, max_edges=2), random_graphlet(rng, max_edges=2))
+        pairs += [(a, permute_graphlet(a, rng)), (a, b)]
+    outcomes = Counter()
+    for a, b in pairs:
+        expected = isomorphic_by_permutation(a, b)
+        assert is_isomorphic(a, b) == expected, (a, b)
+        assert is_isomorphic(b, a) == expected, (b, a)
+        outcomes[expected] += 1
+    assert outcomes[True] >= 250 and outcomes[False] >= 250, outcomes
 
 
 def test_oracle_respects_labels():
@@ -170,3 +222,16 @@ def test_report_file_format(tmp_path):
 def test_format_report_zero_collisions():
     out = format_report(collision_report("degree", 4))
     assert "\t0\t0\t0.00000" in out
+
+
+def test_full_audit_report_bytes_are_pinned():
+    # every function's report at t = 1..8, colliding-pair blocks included,
+    # so the representative each class keeps is pinned too
+    text = "".join(
+        format_report(collision_report(fn, t))
+        for fn in HASH_FUNCTIONS
+        for t in range(1, 9)
+    )
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+        "bee29a920f6156917259bb68347dbba16d72b1fe8cf935e77f8a5d657ef6f247"
+    )

@@ -6,7 +6,6 @@ import pytest
 from graphlets import (
     Graph,
     GraphFormatError,
-    count_components,
     parse_graph_file,
     parse_manifest,
     resolve_manifest,
@@ -14,7 +13,6 @@ from graphlets import (
     serialize_graphs,
 )
 
-from oracles import flood_fill_components
 from synth import random_connected_graph
 
 
@@ -121,17 +119,6 @@ def test_degree_sum_equals_twice_edges():
     for i in range(100):
         g = random_connected_graph(f"g{i}", rng.randint(2, 30), rng.randint(0, 20), rng)
         assert sum(g.degree(u) for u in range(g.n_nodes)) == 2 * g.n_edges
-
-
-def test_components_match_flood_fill_oracle():
-    rng = random.Random(3)
-    for _ in range(100):
-        n = rng.randint(1, 50)
-        m = rng.randint(0, min(60, n * (n - 1) // 2))
-        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        rng.shuffle(pairs)
-        edges = tuple(sorted(pairs[:m]))
-        assert count_components(n, edges) == flood_fill_components(n, edges)
 
 
 def test_validate_catches_direct_construction_errors():

@@ -227,3 +227,20 @@ def test_precomputed_kernel_file_format(tmp_path):
     assert k_01 == k_10
     with pytest.raises(ValueError):
         write_precomputed_kernel(K, ["a", "b"], str(path))
+
+
+def test_precomputed_kernel_rows_equal_per_cell_formatting(tmp_path):
+    # the row template must print every cell as f"{value:.17g}" would
+    rng = np.random.default_rng(3)
+    special = [0.0, -0.0, 1 / 3, -7.5, 1e-300, 5e20, np.inf, -np.inf, np.nan]
+    K = np.concatenate([rng.integers(0, 9, 40), rng.random(40) * 1e3, special])
+    K = np.resize(K, (10, 10))
+    labels = [f"c{i % 3}" for i in range(10)]
+    path = tmp_path / "kernel.txt"
+    write_precomputed_kernel(K, labels, str(path))
+    expected = "".join(
+        " ".join([labels[i], f"0:{i + 1}"] + [f"{j + 1}:{K[i, j]:.17g}" for j in range(10)])
+        + "\n"
+        for i in range(10)
+    )
+    assert path.read_text() == expected

@@ -13,7 +13,12 @@ from graphlets import (
 from graphlets.graphs import Graph, edge_key
 from graphlets.sampling import run_rng
 
-from oracles import enumerate_walk_size_sequences, reference_sample_run
+from oracles import (
+    check_graphlet,
+    enumerate_walk_size_sequences,
+    neighbour_sets,
+    reference_sample_run,
+)
 from synth import random_connected_graph
 
 K2 = parse_graph_file("t k2\nv 0\nv 1\ne 0 1")[0]
@@ -55,7 +60,7 @@ def test_k2_all_runs_identical_single_graphlet():
 def test_triangle_size_two_graphlets_are_paths():
     for t in sample_all(TRIANGLE, SamplerParams(runs=10, max_edges=2, seed=3)):
         two = t.graphlets[1]
-        assert sorted(len(ns) for ns in two.adjacency) == [1, 1, 2]
+        assert sorted(len(ns) for ns in neighbour_sets(two)) == [1, 1, 2]
 
 
 def test_fixed_inputs_reproduce_identical_traces():
@@ -77,13 +82,14 @@ def _check_trace_structure(graph, trace, max_edges):
     for step, glet in enumerate(trace.graphlets, start=1):
         assert glet.n_edges == step
         assert glet.n_nodes <= step + 1
-        glet.validate()
-        parent_edges = glet.parent_edge_set()
+        check_graphlet(glet)
+        p = trace.order[: glet.n_nodes]  # parent node of each local node
+        assert len(set(p)) == glet.n_nodes
+        parent_edges = {edge_key(p[u], p[v]) for u, v in glet.edges}
         assert prev_edges <= parent_edges
         assert len(parent_edges - prev_edges) == 1
         prev_edges = parent_edges
         # inherited structure and labels agree with the parent graph
-        p = glet.parent_nodes
         for (u, v), idx in zip(glet.edges, range(glet.n_edges)):
             assert edge_key(p[u], p[v]) in graph.edge_index
             if graph.edge_labels is not None:
@@ -127,7 +133,8 @@ def test_traces_equal_reference_sampler():
                 params = SamplerParams(runs=4, max_edges=rng.randint(1, 14),
                                        alpha=alpha, seed=i)
                 for r, trace in enumerate(sample_all(variant, params)):
-                    graphlets, dead_end = reference_sample_run(variant, params, r)
+                    order, graphlets, dead_end = reference_sample_run(variant, params, r)
+                    assert trace.order == order
                     assert trace.graphlets == graphlets
                     assert trace.dead_end == dead_end
                     dead += dead_end
