@@ -19,12 +19,10 @@ from .audit import (
 )
 from .embedding import (
     Embedding,
-    Vocabulary,
     build_vocabulary,
     embed_graph_stats,
     finalize_embeddings,
     read_embeddings,
-    read_vocabulary,
     write_embeddings,
     write_vocabulary,
 )
@@ -45,7 +43,6 @@ from .graphs import (
 )
 from .hashing import (
     HASH_FUNCTIONS,
-    HashCode,
     hash_code,
     resolve_hash_function,
 )
@@ -79,14 +76,12 @@ __all__ = [
     "GraphFormatError",
     "Graphlet",
     "HASH_FUNCTIONS",
-    "HashCode",
     "KERNEL_KINDS",
     "KernelSpec",
     "ManifestEntry",
     "RankingPair",
     "RunTrace",
     "SamplerParams",
-    "Vocabulary",
     "build_vocabulary",
     "collision_report",
     "connected_graph_count",
@@ -106,7 +101,6 @@ __all__ = [
     "parse_manifest",
     "ranking_pair",
     "read_embeddings",
-    "read_vocabulary",
     "resolve_hash_function",
     "resolve_manifest",
     "rho_score",

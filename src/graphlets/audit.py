@@ -122,14 +122,17 @@ def _extensions(g: Graphlet) -> list[Graphlet]:
 
 
 @lru_cache(maxsize=None)
-def _enumerated(n_edges: int) -> tuple[Graphlet, ...]:
+def enumerate_connected(n_edges: int) -> tuple[Graphlet, ...]:
+    """One canonical representative per isomorphism class of connected
+    simple graphs with exactly n_edges edges (grown by single-edge
+    extension of the previous size, deduplicated with the oracle)."""
     if not 1 <= n_edges <= MAX_ENUM_EDGES:
         raise ValueError(f"enumeration supports 1..{MAX_ENUM_EDGES} edges, got {n_edges}")
     if n_edges == 1:
         return (Graphlet(2, ((0, 1),)),)
     reps: list[Graphlet] = []
     buckets: dict[tuple, list[Graphlet]] = {}
-    for parent in _enumerated(n_edges - 1):
+    for parent in enumerate_connected(n_edges - 1):
         for child in _extensions(parent):
             adj = adjacency_lists(child.n_nodes, child.edges)
             bucket = buckets.setdefault(tuple(sorted(_signatures(child, adj))), [])
@@ -138,13 +141,6 @@ def _enumerated(n_edges: int) -> tuple[Graphlet, ...]:
             bucket.append(child)
             reps.append(child)
     return tuple(reps)
-
-
-def enumerate_connected(n_edges: int) -> list[Graphlet]:
-    """One canonical representative per isomorphism class of connected
-    simple graphs with exactly n_edges edges (grown by single-edge
-    extension of the previous size, deduplicated with the oracle)."""
-    return list(_enumerated(n_edges))
 
 
 @dataclass(frozen=True)
@@ -176,7 +172,7 @@ def collision_report(fn: str, n_edges: int, keep_pairs: bool = True) -> Collisio
     classes whose measurement keys coincide.
     """
     resolved = resolve_hash_function(fn, n_edges)
-    reps = _enumerated(n_edges)
+    reps = enumerate_connected(n_edges)
     groups: dict[tuple, list[int]] = {}
     for i, g in enumerate(reps):
         groups.setdefault(audit_code(g, resolved, n_edges), []).append(i)

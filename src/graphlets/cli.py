@@ -16,7 +16,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 
 from . import __version__
-from .audit import MAX_ENUM_EDGES, collision_report, format_report, write_report
+from .audit import collision_report, format_report, write_report
 from .embedding import (
     build_vocabulary,
     embed_graph_stats,
@@ -118,11 +118,12 @@ def _resolve_budgets(args) -> list[tuple[int, int, int, int]]:
     def support(t: int) -> int:
         if args.a_override is not None:
             return args.a_override
-        if t > MAX_ENUM_EDGES:
+        try:
+            return connected_graph_count(t)
+        except ValueError:
             raise UsageError(
                 f"embed: no built-in class count for t={t}; supply --a-override"
-            )
-        return connected_graph_count(t)
+            ) from None
 
     if not args.per_size_m:
         runs = sample_size(support(args.T), args.epsilon, args.delta)

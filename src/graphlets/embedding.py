@@ -1,11 +1,11 @@
 """Histogram embeddings of graphs over a deterministic code vocabulary.
 
-Every sampled graphlet of a graph is hashed to its code string; the
-per-graph histogram counts codes. A vocabulary fixes the bin order by
-collecting the union of all observed codes and sorting it, so bin
-indices never depend on graph processing order or parallelism. Count
-vectors are then aligned to the vocabulary; codes absent from it (a
-frozen vocabulary applied to new data) are dropped and tallied in an
+Every sampled graphlet of a graph is hashed to its code key string; the
+per-graph histogram counts keys. The vocabulary is the sorted tuple of
+all observed keys, so a key's position is its bin index and never
+depends on graph processing order or parallelism. Count vectors are
+then aligned to the vocabulary; keys absent from it (a frozen
+vocabulary applied to new data) are dropped and tallied in an
 ``oov_count`` diagnostic rather than raising.
 """
 
@@ -13,26 +13,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 from typing import IO, Iterable, Mapping, Sequence
 
 from .graphs import Graph
 from .hashing import hash_code
 from .sampling import SamplerParams, sample_all
-
-
-@dataclass(frozen=True)
-class Vocabulary:
-    """Ordered list of code keys; position = histogram bin index."""
-
-    entries: tuple[str, ...]
-
-    @cached_property
-    def index(self) -> dict[str, int]:
-        return {key: i for i, key in enumerate(self.entries)}
-
-    def __len__(self) -> int:
-        return len(self.entries)
 
 
 @dataclass(frozen=True)
@@ -75,31 +60,32 @@ def embed_graph_stats(
         if trace.dead_end:
             dead_ends += 1
         for g in trace.graphlets[min_edges - 1 :]:
-            counts[hash_code(g, fn).key] += 1
+            counts[hash_code(g, fn)] += 1
     return dict(counts), dead_ends
 
 
-def build_vocabulary(maps: Iterable[Mapping[str, int]]) -> Vocabulary:
-    """Union of all code keys, sorted lexicographically."""
+def build_vocabulary(maps: Iterable[Mapping[str, int]]) -> tuple[str, ...]:
+    """Union of all code keys, sorted lexicographically; position = bin."""
     keys: set[str] = set()
     for m in maps:
         keys.update(m)
     if not keys:
         raise ValueError("cannot build a vocabulary from empty code maps")
-    return Vocabulary(tuple(sorted(keys)))
+    return tuple(sorted(keys))
 
 
 def finalize_embeddings(
     named_maps: Sequence[tuple[str, Mapping[str, int]]],
-    vocab: Vocabulary,
+    vocab: Sequence[str],
 ) -> list[Embedding]:
     """Dense count vectors aligned to the vocabulary, in input order."""
+    index = {key: i for i, key in enumerate(vocab)}
     out = []
     for graph_id, counts in named_maps:
         vec = [0] * len(vocab)
         oov = 0
         for key, c in counts.items():
-            pos = vocab.index.get(key)
+            pos = index.get(key)
             if pos is None:
                 oov += c
             else:
@@ -108,15 +94,10 @@ def finalize_embeddings(
     return out
 
 
-def write_vocabulary(vocab: Vocabulary, path: str) -> None:
+def write_vocabulary(vocab: Sequence[str], path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for key in vocab.entries:
+        for key in vocab:
             fh.write(key + "\n")
-
-
-def read_vocabulary(path: str) -> Vocabulary:
-    with open(path, "r", encoding="utf-8") as fh:
-        return Vocabulary(tuple(line.rstrip("\n") for line in fh if line.rstrip("\n")))
 
 
 def write_embeddings(

@@ -11,7 +11,9 @@ format:
 Tokens are whitespace-separated. Graphs are simple and undirected:
 self-loops and duplicate edges are rejected at parse time, as is mixed
 labelling (some nodes labelled while others are not; same rule for
-edges). Node and edge labels are opaque strings compared by equality.
+edges). Node and edge labels are opaque strings compared by equality;
+they may not contain ``,`` or ``|``, the separators of the hash-code
+key.
 
 A dataset manifest is a companion TSV with one
 ``<graph_id><TAB><class_label><TAB><split>`` line per graph, where
@@ -81,9 +83,6 @@ class Graph:
     def edge_index(self) -> dict[tuple[int, int], int]:
         return {e: i for i, e in enumerate(self.edges)}
 
-    def degree(self, u: int) -> int:
-        return len(self.adjacency[u])
-
     def edge_label(self, u: int, v: int) -> str | None:
         if self.edge_labels is None:
             return None
@@ -147,6 +146,11 @@ class ManifestEntry:
     split: str
 
 
+def _check_label(label: str | None, line: int) -> None:
+    if label is not None and ("," in label or "|" in label):  # hash-code key separators
+        raise GraphFormatError(f"label {label!r} contains ',' or '|'", line)
+
+
 class _GraphBuilder:
     def __init__(self, graph_id: str, line: int):
         self.graph_id = graph_id
@@ -159,6 +163,7 @@ class _GraphBuilder:
     def add_node(self, node_id: int, label: str | None, line: int) -> None:
         if node_id in self.nodes:
             raise GraphFormatError(f"duplicate node id {node_id}", line)
+        _check_label(label, line)
         labeled = label is not None
         if self.node_labeled is None:
             self.node_labeled = labeled
@@ -174,6 +179,7 @@ class _GraphBuilder:
         key = edge_key(u, v)
         if key in self.edges:
             raise GraphFormatError(f"duplicate edge ({u}, {v})", line)
+        _check_label(label, line)
         labeled = label is not None
         if self.edge_labeled is None:
             self.edge_labeled = labeled

@@ -7,22 +7,24 @@ as exact rationals so codes never depend on float formatting. Labelled
 graphlets additionally carry node/edge label signatures ordered by the
 measure-sorted node ranking. A code reads only a ``Graphlet``'s node
 count, local edges and labels, so sampled and enumerated graphlets hash
-alike, and codes are cached on those four fields.
+alike, and codes are cached on the (function, graphlet) pair.
 
-Code string grammar (the persisted vocabulary key):
+``hash_code`` returns the code as its key string, which is also the
+vocabulary entry and so the histogram bin:
 
     <t>|<fn>|<v1,v2,...>|<nodeLabels>|<edgeLabels>
 
 with rationals serialized ``num/den`` (``den`` omitted when 1) and the
-label fields empty for unlabelled graphlets.
+label fields empty for unlabelled graphlets. Labels never contain ``,``
+or ``|`` (the graph parser rejects them), so distinct label signatures
+give distinct keys.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import combinations
 
 from .graphs import Graphlet, adjacency_lists
@@ -153,59 +155,30 @@ def format_value(x) -> str:
     return str(x)
 
 
-@dataclass(frozen=True)
-class HashCode:
-    """Canonical code identifying a graphlet's isomorphism class."""
-
-    n_edges: int
-    fn: str
-    topo_key: str
-    node_label_key: str = ""
-    edge_label_key: str = ""
-
-    @cached_property  # codes come from a cache, so each formats its key once
-    def key(self) -> str:
-        return (
-            f"{self.n_edges}|{self.fn}|{self.topo_key}"
-            f"|{self.node_label_key}|{self.edge_label_key}"
-        )
-
-
 @lru_cache(maxsize=1 << 18)
-def _hash_code_cached(
-    fn: str,
-    n_nodes: int,
-    edges: tuple[tuple[int, int], ...],
-    node_labels: tuple[str, ...] | None,
-    edge_labels: tuple[str, ...] | None,
-) -> HashCode:
-    values = measure_values(Graphlet(n_nodes, edges, node_labels, edge_labels), fn)
+def _hash_code_cached(fn: str, g: Graphlet) -> str:
+    values = measure_values(g, fn)
     topo_key = ",".join(format_value(v) for v in sorted(values))
 
-    node_label_key = ""
-    edge_label_key = ""
-    if node_labels is not None or edge_labels is not None:
+    node_label_key = edge_label_key = ""
+    if g.node_labels is not None or g.edge_labels is not None:
         # Nodes are ordered by (measure value, node label); nodes that tie
         # on both are interchangeable, so edge signatures use the rank of
         # the (value, label) class rather than of the individual node,
         # which keeps codes identical across relabelings.
-        keys = [
-            (values[i], node_labels[i] if node_labels is not None else "")
-            for i in range(n_nodes)
-        ]
+        keys = list(zip(values, g.node_labels or ("",) * g.n_nodes))
         class_rank = {k: r for r, k in enumerate(sorted(set(keys)))}
-        if node_labels is not None:
+        if g.node_labels is not None:
             node_label_key = ",".join(lbl for _, lbl in sorted(keys))
-        if edge_labels is not None:
+        if g.edge_labels is not None:
             triples = []
-            for (u, v), lbl in zip(edges, edge_labels):
+            for (u, v), lbl in zip(g.edges, g.edge_labels):
                 ru, rv = sorted((class_rank[keys[u]], class_rank[keys[v]]))
                 triples.append((ru, rv, lbl))
             edge_label_key = ",".join(lbl for _, _, lbl in sorted(triples))
-    return HashCode(len(edges), fn, topo_key, node_label_key, edge_label_key)
+    return f"{g.n_edges}|{fn}|{topo_key}|{node_label_key}|{edge_label_key}"
 
 
-def hash_code(g: Graphlet, fn: str = "auto") -> HashCode:
-    """Permutation-invariant code for a graphlet under a hash function."""
-    resolved = resolve_hash_function(fn, g.n_edges)
-    return _hash_code_cached(resolved, g.n_nodes, g.edges, g.node_labels, g.edge_labels)
+def hash_code(g: Graphlet, fn: str = "auto") -> str:
+    """Permutation-invariant code key of a graphlet under a hash function."""
+    return _hash_code_cached(resolve_hash_function(fn, g.n_edges), g)

@@ -164,7 +164,8 @@ def write_precomputed_kernel(
     """Export for external SVM trainers in precomputed-kernel form.
 
     Row i: ``<class_label> 0:<i+1> 1:<K(i,0)> ... n:<K(i,n-1)>`` with
-    values printed to 17 significant digits.
+    values printed to 17 significant digits. A class label must be one
+    non-empty token without whitespace, as the format is space-separated.
     """
     K = np.asarray(matrix, dtype=float)
     n = K.shape[0]
@@ -172,6 +173,9 @@ def write_precomputed_kernel(
         raise ValueError("kernel matrix must be square")
     if len(labels) != n:
         raise ValueError("labels do not align with the kernel matrix")
+    bad = [lbl for lbl in labels if lbl.split() != [lbl]]  # empty or has whitespace
+    if bad:
+        raise ValueError(f"class labels must be non-empty and whitespace-free: {bad[0]!r}")
     row = " ".join(f"{j + 1}:%.17g" for j in range(n))  # one format call per row
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for i, values in enumerate(K.tolist()):

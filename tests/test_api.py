@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -43,3 +44,19 @@ def test_benchmark_instrumentation_finds_every_name_it_wraps():
                                  graphlets.SamplerParams(runs=1, max_edges=2), 0)
     assert len(trace.graphlets) == 1 and trace.dead_end
     assert callable(hashing._hash_code_cached.cache_info)
+
+
+def test_readme_quick_start_runs(tmp_path):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    for name in ("toy.graphs", "toy.manifest"):
+        body = re.search(rf"cat > {re.escape(name)} <<'EOF'\n(.*?)^EOF$", readme,
+                         re.S | re.M)
+        assert body, name
+        (tmp_path / name).write_text(body.group(1), encoding="utf-8")
+    code = re.search(r"^```python\n(.*?)^```$", readme, re.S | re.M)
+    assert code, "no python block in README.md"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code.group(1)], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0.0\n"

@@ -83,6 +83,29 @@ def test_data_errors_exit_two(tmp_path, capsys):
     assert "line 3" in err
 
 
+def test_embed_labels_with_key_separators_exit_two(tmp_path, capsys):
+    manifest = _write(tmp_path, "m.tsv", "g0\tc\tunsplit\n")
+    out = tmp_path / "out"
+    for text in ("t g0\nv 0 a,b\nv 1 c\ne 0 1\n", "t g0\nv 0\nv 1\ne 0 1 p|q\n"):
+        graphs = _write(tmp_path, "g.txt", text)
+        assert main(["embed", "--graphs", graphs, "--manifest", manifest, "--labeled",
+                     "--T", "1", "--M", "2", "--out", str(out)]) == 2
+        assert "contains ',' or '|'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_embed_without_class_count_needs_a_override(tmp_path, capsys):
+    graphs = _write(tmp_path, "g.txt", TRIANGLE_TXT)
+    manifest = _write(tmp_path, "m.tsv", "tri\tc\tunsplit\n")
+    base = ["embed", "--graphs", graphs, "--manifest", manifest, "--T", "11",
+            "--epsilon", "0.5", "--delta", "0.5", "--out", str(tmp_path / "out")]
+    assert main(base) == 1
+    assert capsys.readouterr().err == (
+        "embed: no built-in class count for t=11; supply --a-override\n")
+    assert main(base + ["--a-override", "4"]) == 0
+    capsys.readouterr()
+
+
 def test_embed_triangle_forced_single_bin(tmp_path, capsys):
     graphs = _write(tmp_path, "g.txt", TRIANGLE_TXT)
     manifest = _write(tmp_path, "m.tsv", "tri\tc\tunsplit\n")
@@ -209,6 +232,21 @@ def test_kernel_command_hist_int_diagonal(tmp_path, capsys):
     assert first[0] in {"odd", "even"}
     assert first[1] == "0:1"
     assert float(first[2].split(":")[1]) == 27.0
+
+
+def test_kernel_rejects_class_labels_the_export_cannot_carry(tmp_path, capsys):
+    graphs, manifest = _dataset(tmp_path, n_graphs=2, seed=4)
+    out = tmp_path / "out"
+    assert main(["embed", "--graphs", graphs, "--manifest", manifest,
+                 "--T", "2", "--M", "3", "--out", str(out)]) == 0
+    emb_path = str(out / "embeddings.tsv")
+    for first, second in (("class one", "even"), ("odd", "")):
+        bad = _write(tmp_path, "bad.manifest",
+                     f"g0\t{first}\tunsplit\ng1\t{second}\tunsplit\n")
+        assert main(["kernel", "--embeddings", emb_path, "--manifest", bad,
+                     "--out", str(out)]) == 2
+        assert "class labels" in capsys.readouterr().err
+        assert not (out / "kernel.txt").exists()
 
 
 def test_kernel_requires_gamma_for_rbf(tmp_path, capsys):

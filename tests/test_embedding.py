@@ -5,13 +5,11 @@ import pytest
 from graphlets import (
     Embedding,
     SamplerParams,
-    Vocabulary,
     build_vocabulary,
     embed_graph_stats,
     finalize_embeddings,
     parse_graph_file,
     read_embeddings,
-    read_vocabulary,
     write_embeddings,
     write_vocabulary,
 )
@@ -72,8 +70,7 @@ def test_min_edges_validation():
 
 def test_build_vocabulary_sorts_and_dedupes():
     vocab = build_vocabulary([{"b": 1}, {"a": 2, "b": 1}])
-    assert vocab.entries == ("a", "b")
-    assert vocab.index == {"a": 0, "b": 1}
+    assert vocab == ("a", "b")
     shuffled = build_vocabulary([{"a": 2, "b": 1}, {"b": 1}])
     assert shuffled == vocab
     with pytest.raises(ValueError):
@@ -81,7 +78,7 @@ def test_build_vocabulary_sorts_and_dedupes():
 
 
 def test_finalize_alignment_and_oov():
-    vocab = Vocabulary(("a", "b"))
+    vocab = ("a", "b")
     embs = finalize_embeddings(
         [("g0", {"a": 3}), ("g1", {}), ("g2", {"c": 1})], vocab
     )
@@ -123,7 +120,7 @@ def test_vocab_and_embedding_files_round_trip(tmp_path):
 
     vpath, epath = tmp_path / "vocab.txt", tmp_path / "emb.tsv"
     write_vocabulary(vocab, str(vpath))
-    assert read_vocabulary(str(vpath)) == vocab
+    assert tuple(vpath.read_text().splitlines()) == vocab
     assert vpath.read_text().count("\n") == len(vocab)
 
     write_embeddings(embs, str(epath))

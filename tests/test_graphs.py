@@ -59,6 +59,19 @@ def test_mixed_edge_labels_rejected():
         parse_graph_file("t g0\nv 0\nv 1\nv 2\ne 0 1 a\ne 1 2")
 
 
+def test_node_labels_with_key_separators_rejected():
+    # "a,b"+"c" and "a"+"b,c" would share the node-label field "a,b,c"
+    for label in ("a,b", "b|c", ",", "|"):
+        with pytest.raises(GraphFormatError, match=r"line 3: label .* contains"):
+            parse_graph_file(f"t g0\nv 0 a\nv 1 {label}\ne 0 1")
+
+
+def test_edge_labels_with_key_separators_rejected():
+    for label in ("p|q", "p,q", "|", ","):
+        with pytest.raises(GraphFormatError, match=r"line 6: label .* contains"):
+            parse_graph_file(f"t g0\nv 0\nv 1\nv 2\ne 0 1 x\ne 1 2 {label}")
+
+
 def test_node_labels_without_edge_labels_is_fine():
     g = parse_graph_file("t g0\nv 0 C\nv 1 N\ne 0 1")[0]
     assert g.node_labels == ("C", "N")
@@ -118,7 +131,7 @@ def test_degree_sum_equals_twice_edges():
     rng = random.Random(2)
     for i in range(100):
         g = random_connected_graph(f"g{i}", rng.randint(2, 30), rng.randint(0, 20), rng)
-        assert sum(g.degree(u) for u in range(g.n_nodes)) == 2 * g.n_edges
+        assert sum(len(ns) for ns in g.adjacency) == 2 * g.n_edges
 
 
 def test_validate_catches_direct_construction_errors():

@@ -108,20 +108,16 @@ def test_format_value():
 
 
 def test_hash_code_key_grammar():
-    code = hash_code(TRIANGLE, "degree")
-    assert (code.n_edges, code.fn, code.topo_key) == (3, "degree", "2,2,2")
-    assert code.node_label_key == code.edge_label_key == ""
-    assert code.key == "3|degree|2,2,2||"
-    assert hash_code(TRIANGLE, "degree").key is code.key  # formatted once per code
-    assert hash_code(K2, "degree").key == "1|degree|1,1||"
+    assert hash_code(TRIANGLE, "degree") == "3|degree|2,2,2||"
+    assert hash_code(TRIANGLE, "degree") is hash_code(TRIANGLE, "degree")  # cached
+    assert hash_code(K2, "degree") == "1|degree|1,1||"
 
 
 def test_labeled_node_part_is_storage_order_independent():
     a = Graphlet(2, ((0, 1),), node_labels=("C", "N"), edge_labels=("1",))
     b = Graphlet(2, ((0, 1),), node_labels=("N", "C"), edge_labels=("1",))
     assert hash_code(a, "degree") == hash_code(b, "degree")
-    assert hash_code(a, "degree").node_label_key == "C,N"
-    assert hash_code(a, "degree").key == "1|degree|1,1|C,N|1"
+    assert hash_code(a, "degree") == "1|degree|1,1|C,N|1"
 
 
 def test_label_tied_nodes_do_not_break_invariance():
@@ -145,9 +141,7 @@ def test_permutation_invariance_random_quick():
 
 def test_node_labels_only_graphlets_hash():
     g = Graphlet(3, ((0, 1), (1, 2)), node_labels=("A", "B", "C"))
-    code = hash_code(g, "degree")
-    assert code.node_label_key and not code.edge_label_key
-    assert code.key.endswith("|")
+    assert hash_code(g, "degree") == "2|degree|1,1,2|A,C,B|"
 
 
 def test_resolve_auto_threshold():
@@ -163,7 +157,7 @@ def test_select_hash_function_argmin_and_tiebreak():
     # and auto keeps the cheaper one (HASH_FUNCTIONS is cheapest first)
     four = enumerate_connected(4)
     for fn in ("degree", "betweenness"):
-        assert len({hash_code(g, fn).key for g in four}) == len(four)
+        assert len({hash_code(g, fn) for g in four}) == len(four)
     assert HASH_FUNCTIONS.index("degree") < HASH_FUNCTIONS.index("betweenness")
     assert resolve_hash_function("auto", 4) == "degree"
     # argmin at size 5: these pairs share a degree code, betweenness
@@ -175,6 +169,6 @@ def test_select_hash_function_argmin_and_tiebreak():
          Graphlet(6, ((0, 1), (0, 2), (0, 3), (1, 4), (4, 5)))),
     ]
     for a, b in pairs:
-        assert hash_code(a, "degree").key == hash_code(b, "degree").key
-        assert hash_code(a, "auto").key != hash_code(b, "auto").key
+        assert hash_code(a, "degree") == hash_code(b, "degree")
+        assert hash_code(a, "auto") != hash_code(b, "auto")
     assert resolve_hash_function("auto", 5) == "betweenness"

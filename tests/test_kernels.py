@@ -229,6 +229,15 @@ def test_precomputed_kernel_file_format(tmp_path):
         write_precomputed_kernel(K, ["a", "b"], str(path))
 
 
+def test_precomputed_kernel_rejects_empty_or_spaced_labels(tmp_path):
+    K = kernel_matrix([[1, 2], [3, 4]], DOT)
+    path = tmp_path / "kernel.txt"
+    for labels in (["class one", "b"], ["a", ""], [" a", "b"], ["a", "b\t"], ["a", "b\n"]):
+        with pytest.raises(ValueError, match="class labels"):
+            write_precomputed_kernel(K, labels, str(path))
+        assert not path.exists()
+
+
 def test_precomputed_kernel_rows_equal_per_cell_formatting(tmp_path):
     # the row template must print every cell as f"{value:.17g}" would
     rng = np.random.default_rng(3)
