@@ -12,6 +12,12 @@ reports are validated against were taken. The embedding codes produced
 by :mod:`graphlets.hashing` key on the exact vectors plus label
 signatures and are at least as fine, so their real collision rate is
 bounded by the reported one.
+
+Enumeration dedupes each size's children against the kept
+representatives of their signature bucket. One enumeration call builds
+one oracle profile (adjacency, neighbour sets, node signatures) per
+graphlet and drops them all when it returns; ``is_isomorphic`` runs the
+same search on two fresh profiles.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from typing import NamedTuple
 
 from .graphs import Graph, Graphlet, adjacency_lists, serialize_graph
 from .hashing import measure_values, resolve_hash_function
@@ -38,32 +45,34 @@ def _signatures(g: Graphlet, adj: tuple[tuple[int, ...], ...]) -> list[tuple]:
     ]
 
 
-def is_isomorphic(g1: Graphlet, g2: Graphlet) -> bool:
-    """Exact isomorphism test by backtracking over degree-compatible
-    node mappings; node/edge labels are respected when present."""
-    if g1.n_nodes > MAX_ORACLE_NODES or g2.n_nodes > MAX_ORACLE_NODES:
-        raise ValueError(f"isomorphism oracle is limited to {MAX_ORACLE_NODES} nodes")
-    if (g1.node_labels is None) != (g2.node_labels is None) or (
-        g1.edge_labels is None
-    ) != (g2.edge_labels is None):
-        raise ValueError("cannot compare labelled with unlabelled graphlets")
-    if g1.n_nodes != g2.n_nodes or g1.n_edges != g2.n_edges:
-        return False
+class _Profile(NamedTuple):
+    """What the isomorphism search reads of one graphlet, built once."""
 
-    nbrs1 = adjacency_lists(g1.n_nodes, g1.edges)
-    nbrs2 = adjacency_lists(g2.n_nodes, g2.edges)
-    sig1, sig2 = _signatures(g1, nbrs1), _signatures(g2, nbrs2)
-    if sorted(sig1) != sorted(sig2):
-        return False
-    if g1.edge_labels is not None and sorted(g1.edge_labels) != sorted(g2.edge_labels):
-        return False
+    g: Graphlet
+    nbrs: tuple[tuple[int, ...], ...]
+    adj: list[set[int]]
+    sig: list[tuple]
+    by_sig: dict[tuple, list[int]]  # signature -> nodes carrying it, ascending
 
-    n = g1.n_nodes
-    adj1 = [set(ns) for ns in nbrs1]
-    adj2 = [set(ns) for ns in nbrs2]
-    elab1 = dict(zip(g1.edges, g1.edge_labels or ()))
-    elab2 = dict(zip(g2.edges, g2.edge_labels or ()))
-    candidates = [[y for y in range(n) if sig2[y] == sig1[x]] for x in range(n)]
+
+def _profile(g: Graphlet) -> _Profile:
+    nbrs = adjacency_lists(g.n_nodes, g.edges)
+    sig = _signatures(g, nbrs)
+    by_sig: dict[tuple, list[int]] = {}
+    for u, s in enumerate(sig):
+        by_sig.setdefault(s, []).append(u)
+    return _Profile(g, nbrs, [set(ns) for ns in nbrs], sig, by_sig)
+
+
+def _same_class(p1: _Profile, p2: _Profile) -> bool:
+    """Backtracking search for a signature-preserving node mapping of
+    p1's graphlet onto p2's that keeps adjacency and edge labels.
+    The caller has checked sizes and the sorted signatures."""
+    n = p1.g.n_nodes
+    nbrs1, adj1, adj2 = p1.nbrs, p1.adj, p2.adj
+    elab1 = dict(zip(p1.g.edges, p1.g.edge_labels or ()))
+    elab2 = dict(zip(p2.g.edges, p2.g.edge_labels or ()))
+    candidates = [p2.by_sig[s] for s in p1.sig]
 
     # Place nodes of g1 breadth-first from a maximum-degree node, so each
     # node of its component (after the first) touches a placed node.
@@ -107,6 +116,25 @@ def is_isomorphic(g1: Graphlet, g2: Graphlet) -> bool:
     return extend(0)
 
 
+def is_isomorphic(g1: Graphlet, g2: Graphlet) -> bool:
+    """Exact isomorphism test by backtracking over degree-compatible
+    node mappings; node/edge labels are respected when present."""
+    if g1.n_nodes > MAX_ORACLE_NODES or g2.n_nodes > MAX_ORACLE_NODES:
+        raise ValueError(f"isomorphism oracle is limited to {MAX_ORACLE_NODES} nodes")
+    if (g1.node_labels is None) != (g2.node_labels is None) or (
+        g1.edge_labels is None
+    ) != (g2.edge_labels is None):
+        raise ValueError("cannot compare labelled with unlabelled graphlets")
+    if g1.n_nodes != g2.n_nodes or g1.n_edges != g2.n_edges:
+        return False
+    p1, p2 = _profile(g1), _profile(g2)
+    if sorted(p1.sig) != sorted(p2.sig):
+        return False
+    if g1.edge_labels is not None and sorted(g1.edge_labels) != sorted(g2.edge_labels):
+        return False
+    return _same_class(p1, p2)
+
+
 def _extensions(g: Graphlet) -> list[Graphlet]:
     present = set(g.edges)
     out = []
@@ -131,14 +159,14 @@ def enumerate_connected(n_edges: int) -> tuple[Graphlet, ...]:
     if n_edges == 1:
         return (Graphlet(2, ((0, 1),)),)
     reps: list[Graphlet] = []
-    buckets: dict[tuple, list[Graphlet]] = {}
+    buckets: dict[tuple, list[_Profile]] = {}  # sorted signatures -> kept profiles
     for parent in enumerate_connected(n_edges - 1):
         for child in _extensions(parent):
-            adj = adjacency_lists(child.n_nodes, child.edges)
-            bucket = buckets.setdefault(tuple(sorted(_signatures(child, adj))), [])
-            if any(is_isomorphic(child, seen) for seen in bucket):
+            p = _profile(child)
+            bucket = buckets.setdefault(tuple(sorted(p.sig)), [])
+            if any(_same_class(p, seen) for seen in bucket):
                 continue
-            bucket.append(child)
+            bucket.append(p)
             reps.append(child)
     return tuple(reps)
 
@@ -211,6 +239,9 @@ def format_report(report: CollisionReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_report(report: CollisionReport, path: str) -> None:
+def write_report(report: CollisionReport, path: str) -> str:
+    """Write the formatted report to path and return its text."""
+    text = format_report(report)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(format_report(report))
+        fh.write(text)
+    return text

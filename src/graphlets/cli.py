@@ -13,10 +13,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from . import __version__
-from .audit import collision_report, format_report, write_report
+from .audit import collision_report, write_report
 from .embedding import (
     build_vocabulary,
     embed_graph_stats,
@@ -79,6 +78,8 @@ def _pmap(fn, jobs, threads: int):
     workers = worker_count(threads, len(jobs))
     if workers == 1:
         return [fn(job) for job in jobs]
+    from concurrent.futures import ProcessPoolExecutor  # one-worker runs skip this import
+
     chunk = max(1, len(jobs) // (workers * 4))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, jobs, chunksize=chunk))
@@ -254,8 +255,7 @@ def cmd_audit(args) -> int:
     report = collision_report(args.hash, args.t, keep_pairs=not args.no_pairs)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, f"audit-{report.fn}-t{args.t}.tsv")
-    write_report(report, path)
-    header, row = format_report(report).splitlines()[:2]
+    header, row = write_report(report, path).split("\n", 2)[:2]
     print(header)
     print(row)
     print(f"wrote {path}")

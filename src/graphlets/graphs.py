@@ -117,6 +117,8 @@ class Graph:
             raise GraphFormatError(f"graph {self.id!r}: node label count mismatch")
         if self.edge_labels is not None and len(self.edge_labels) != len(self.edges):
             raise GraphFormatError(f"graph {self.id!r}: edge label count mismatch")
+        for label in (self.node_labels or ()) + (self.edge_labels or ()):
+            _check_label(label)
         return self
 
 
@@ -146,7 +148,7 @@ class ManifestEntry:
     split: str
 
 
-def _check_label(label: str | None, line: int) -> None:
+def _check_label(label: str | None, line: int | None = None) -> None:
     if label is not None and ("," in label or "|" in label):  # hash-code key separators
         raise GraphFormatError(f"label {label!r} contains ',' or '|'", line)
 

@@ -1,13 +1,15 @@
 """Similarity kernels over histogram embeddings, k-NN evaluation, and
-the mutual rank-agreement score."""
+the mutual rank-agreement score.
+
+numpy is imported inside the functions that use it, so importing the
+package (and running the commands that need no kernel) does not load it.
+"""
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
-
-import numpy as np
 
 KERNEL_KINDS = ("dot", "rbf", "hist_intersection", "cosine")
 
@@ -29,6 +31,7 @@ class KernelSpec:
 
 def _rows(x: np.ndarray, block: np.ndarray, spec: KernelSpec) -> np.ndarray:
     """Kernel of one vector against each row of a block."""
+    import numpy as np
     if spec.kind == "dot":
         return block @ x
     if spec.kind == "hist_intersection":
@@ -47,6 +50,7 @@ def _rows(x: np.ndarray, block: np.ndarray, spec: KernelSpec) -> np.ndarray:
 
 
 def kernel_value(x: Sequence, y: Sequence, spec: KernelSpec) -> float:
+    import numpy as np
     xv = np.asarray(x, dtype=float)
     yv = np.asarray(y, dtype=float)
     if xv.shape != yv.shape or xv.ndim != 1:
@@ -56,6 +60,7 @@ def kernel_value(x: Sequence, y: Sequence, spec: KernelSpec) -> float:
 
 def kernel_matrix(vectors, spec: KernelSpec) -> np.ndarray:
     """Dense symmetric kernel matrix; K[i][j] == K[j][i] exactly."""
+    import numpy as np
     X = np.asarray(vectors, dtype=float)
     if X.ndim != 2:
         raise ValueError("embeddings must share a common vector length")
@@ -73,6 +78,7 @@ def kernel_matrix(vectors, spec: KernelSpec) -> np.ndarray:
 def _top_k(K, labels: Sequence[str], k: int) -> np.ndarray:
     """Row i: the k items most similar to item i, most similar first,
     item i itself excluded; similarity ties keep input order."""
+    import numpy as np
     K = np.asarray(K, dtype=float)
     n = K.shape[0]
     if K.shape != (n, n):
@@ -91,6 +97,7 @@ def knn_retrieval_scores(K, labels: Sequence[str], k: int) -> list[int]:
     Position j counts, over all queries, how often the (j+1)-th nearest
     neighbor (query excluded) shares the query's class.
     """
+    import numpy as np
     top = _top_k(K, labels, k)
     y = np.asarray(labels)
     return (y[top] == y[:, None]).sum(axis=0).tolist()
@@ -167,6 +174,7 @@ def write_precomputed_kernel(
     values printed to 17 significant digits. A class label must be one
     non-empty token without whitespace, as the format is space-separated.
     """
+    import numpy as np
     K = np.asarray(matrix, dtype=float)
     n = K.shape[0]
     if K.shape != (n, n):

@@ -235,3 +235,13 @@ def test_full_audit_report_bytes_are_pinned():
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
         "bee29a920f6156917259bb68347dbba16d72b1fe8cf935e77f8a5d657ef6f247"
     )
+
+
+def test_representatives_up_to_t9_are_pinned():
+    # every class's kept representative and their order, not only those
+    # that appear in colliding pairs (1,068 lines)
+    text = "".join(f"{t}\t{g.n_nodes}\t{g.edges}\n"
+                   for t in range(1, 10) for g in enumerate_connected(t))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+        "4ba8b772f3d1cca36f87eff34900b83feaab40c84c298292f05b330e96cf6e27"
+    )

@@ -1,3 +1,4 @@
+import json
 import os
 import random
 import subprocess
@@ -306,6 +307,46 @@ def test_closed_stdout_exits_141_after_writing_files(tmp_path):
     assert (out / "audit-degree-t3.tsv").read_text().startswith("fn\tt\t")
 
 
+# Runs commands in one fresh interpreter and reports, after each, whether
+# numpy and the process pool have been imported.
+_STARTUP_MODULES = """
+import contextlib, io, json, sys
+from graphlets.cli import main
+seen = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = main(argv)
+    seen.append([argv[0], rc, "numpy" in sys.modules,
+                 "concurrent.futures.process" in sys.modules])
+print(json.dumps(seen))
+"""
+
+
+def test_commands_without_kernels_start_without_numpy(tmp_path):
+    graphs = _write(tmp_path, "g.txt", TRIANGLE_TXT)
+    manifest = _write(tmp_path, "m.tsv", "tri\tc\tunsplit\n")
+    out = str(tmp_path / "out")
+    commands = [
+        ["audit", "--hash", "degree", "--t", "4", "--out", out],
+        ["embed", "--graphs", graphs, "--manifest", manifest, "--T", "3",
+         "--M", "10", "--threads", "1", "--out", out],
+        ["sample-size", "--a", "3", "--epsilon", "0.1", "--delta", "0.1"],
+        ["kernel", "--embeddings", os.path.join(out, "embeddings.tsv"), "--out", out],
+    ]
+    src = os.path.dirname(os.path.dirname(graphlets.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _STARTUP_MODULES, json.dumps(commands)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [
+        ["audit", 0, False, False],
+        ["embed", 0, False, False],
+        ["sample-size", 0, False, False],
+        ["kernel", 0, True, False],  # the check sees numpy once a kernel loads it
+    ]
+
+
 def test_knn_duplicated_graphs_retrieve_each_other(tmp_path, capsys):
     # two copies of each structure: every query's nearest neighbor is its twin
     text = ""
@@ -334,6 +375,7 @@ def test_audit_command(tmp_path, capsys):
     assert "clustering\t3\t3\t3\t1\t1/3\t0.33333" in stdout
     report = (tmp_path / "out" / "audit-clustering-t3.tsv").read_text()
     assert "# colliding pair 0" in report
+    assert stdout.splitlines()[:2] == report.splitlines()[:2]
     assert main(["audit", "--hash", "degree", "--t", "11", "--out", out]) == 2
     capsys.readouterr()
 

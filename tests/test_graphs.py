@@ -72,6 +72,15 @@ def test_edge_labels_with_key_separators_rejected():
             parse_graph_file(f"t g0\nv 0\nv 1\nv 2\ne 0 1 x\ne 1 2 {label}")
 
 
+def test_validate_rejects_labels_with_key_separators():
+    # built in code, these two would both embed as {'1|degree|1,1|a,b,c|': 2}
+    for g in (Graph("a", 2, ((0, 1),), ("a,b", "c")),
+              Graph("b", 2, ((0, 1),), ("a", "b,c")),
+              Graph("c", 2, ((0, 1),), None, ("x|y",))):
+        with pytest.raises(GraphFormatError, match=r"^label .* contains"):
+            g.validate()
+
+
 def test_node_labels_without_edge_labels_is_fine():
     g = parse_graph_file("t g0\nv 0 C\nv 1 N\ne 0 1")[0]
     assert g.node_labels == ("C", "N")
