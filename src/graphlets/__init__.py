@@ -51,7 +51,6 @@ from .kernels import (
     KernelSpec,
     RankingPair,
     kernel_matrix,
-    kernel_value,
     knn_retrieval_scores,
     loo_knn_accuracy,
     ranking_pair,
@@ -92,7 +91,6 @@ __all__ = [
     "hash_code",
     "is_isomorphic",
     "kernel_matrix",
-    "kernel_value",
     "knn_retrieval_scores",
     "load_graphs",
     "load_manifest",

@@ -188,9 +188,9 @@ def audit_code(g: Graphlet, fn: str, n_edges: int) -> tuple:
     """Measurement key used for collision counting (see module docs)."""
     values = measure_values(g, fn)
     if fn == "clustering":
-        row = sorted(Fraction(v) / g.n_nodes for v in values)
-        return tuple([Fraction(0)] * (n_edges + 1 - len(row)) + row)
-    return tuple(sorted(Fraction(v) for v in values))
+        row = sorted(v / g.n_nodes for v in values)
+        return tuple([0] * (n_edges + 1 - len(row)) + row)
+    return tuple(sorted(values))
 
 
 def collision_report(fn: str, n_edges: int, keep_pairs: bool = True) -> CollisionReport:

@@ -62,7 +62,8 @@ class Graph:
     Nodes are the integers ``0..n_nodes-1``. Edges are stored sorted as
     ``(u, v)`` pairs with ``u < v``. ``node_labels`` and ``edge_labels``
     are either None (unlabelled) or tuples aligned with node indices
-    and ``edges`` respectively.
+    and ``edges`` respectively. Construction checks these invariants and
+    the label rule, raising GraphFormatError.
     """
 
     id: str
@@ -71,31 +72,7 @@ class Graph:
     node_labels: tuple[str, ...] | None = None
     edge_labels: tuple[str, ...] | None = None
 
-    @property
-    def n_edges(self) -> int:
-        return len(self.edges)
-
-    @cached_property
-    def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        return adjacency_lists(self.n_nodes, self.edges)
-
-    @cached_property
-    def edge_index(self) -> dict[tuple[int, int], int]:
-        return {e: i for i, e in enumerate(self.edges)}
-
-    def edge_label(self, u: int, v: int) -> str | None:
-        if self.edge_labels is None:
-            return None
-        return self.edge_labels[self.edge_index[edge_key(u, v)]]
-
-    def without_labels(self) -> "Graph":
-        """Structural copy with all labels dropped."""
-        if self.node_labels is None and self.edge_labels is None:
-            return self
-        return Graph(self.id, self.n_nodes, self.edges)
-
-    def validate(self) -> "Graph":
-        """Check structural invariants, raising GraphFormatError."""
+    def __post_init__(self) -> None:
         if self.n_nodes < 1:
             raise GraphFormatError(f"graph {self.id!r} has no nodes")
         seen: set[tuple[int, int]] = set()
@@ -119,7 +96,29 @@ class Graph:
             raise GraphFormatError(f"graph {self.id!r}: edge label count mismatch")
         for label in (self.node_labels or ()) + (self.edge_labels or ()):
             _check_label(label)
-        return self
+
+    @property
+    def n_edges(self) -> int:
+        return len(self.edges)
+
+    @cached_property
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        return adjacency_lists(self.n_nodes, self.edges)
+
+    @cached_property
+    def edge_index(self) -> dict[tuple[int, int], int]:
+        return {e: i for i, e in enumerate(self.edges)}
+
+    def edge_label(self, u: int, v: int) -> str | None:
+        if self.edge_labels is None:
+            return None
+        return self.edge_labels[self.edge_index[edge_key(u, v)]]
+
+    def without_labels(self) -> "Graph":
+        """Structural copy with all labels dropped."""
+        if self.node_labels is None and self.edge_labels is None:
+            return self
+        return Graph(self.id, self.n_nodes, self.edges)
 
 
 class Graphlet(NamedTuple):
@@ -207,7 +206,7 @@ class _GraphBuilder:
         edge_labels = None
         if self.edge_labeled:
             edge_labels = tuple(self.edges[e] for e in ordered)  # type: ignore[misc]
-        return Graph(self.graph_id, n, tuple(ordered), node_labels, edge_labels).validate()
+        return Graph(self.graph_id, n, tuple(ordered), node_labels, edge_labels)
 
 
 def parse_graph_file(source: str | IO[str]) -> list[Graph]:

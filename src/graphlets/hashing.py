@@ -14,10 +14,11 @@ vocabulary entry and so the histogram bin:
 
     <t>|<fn>|<v1,v2,...>|<nodeLabels>|<edgeLabels>
 
-with rationals serialized ``num/den`` (``den`` omitted when 1) and the
-label fields empty for unlabelled graphlets. Labels never contain ``,``
-or ``|`` (the graph parser rejects them), so distinct label signatures
-give distinct keys.
+with rationals serialized ``num/den`` (``den`` omitted when 1, as
+``str`` prints a ``Fraction``) and the label fields empty for unlabelled
+graphlets. Labels never contain ``,`` or ``|`` (a ``Graph`` rejects them
+when built, and a code rejects them on a cache miss), so distinct label
+signatures give distinct keys.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-from .graphs import Graphlet, adjacency_lists
+from .graphs import Graphlet, _check_label, adjacency_lists
 
 HASH_FUNCTIONS = ("degree", "core", "clustering", "betweenness")  # cheapest first
 AUTO_THRESHOLD = 4  # auto: degree up to 4 edges, betweenness beyond
@@ -146,19 +147,12 @@ def measure_values(g: Graphlet, fn: str) -> list:
     return _VALUE_FUNCTIONS[fn](g)
 
 
-def format_value(x) -> str:
-    """Serialize a measure value: integers plainly, rationals num/den."""
-    if isinstance(x, Fraction):
-        if x.denominator == 1:
-            return str(x.numerator)
-        return f"{x.numerator}/{x.denominator}"
-    return str(x)
-
-
 @lru_cache(maxsize=1 << 18)
 def _hash_code_cached(fn: str, g: Graphlet) -> str:
+    for label in (g.node_labels or ()) + (g.edge_labels or ()):
+        _check_label(label)
     values = measure_values(g, fn)
-    topo_key = ",".join(format_value(v) for v in sorted(values))
+    topo_key = ",".join(map(str, sorted(values)))
 
     node_label_key = edge_label_key = ""
     if g.node_labels is not None or g.edge_labels is not None:

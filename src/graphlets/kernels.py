@@ -7,6 +7,7 @@ package (and running the commands that need no kernel) does not load it.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
@@ -23,8 +24,8 @@ class KernelSpec:
         if self.kind not in KERNEL_KINDS:
             raise ValueError(f"unknown kernel kind {self.kind!r}")
         if self.kind == "rbf":
-            if self.gamma is None or self.gamma <= 0:
-                raise ValueError("rbf kernel requires gamma > 0")
+            if self.gamma is None or not 0 < self.gamma < math.inf:  # nan fails too
+                raise ValueError("rbf kernel requires a finite gamma > 0")
         elif self.gamma is not None:
             raise ValueError(f"gamma is only valid for rbf, not {self.kind!r}")
 
@@ -47,15 +48,6 @@ def _rows(x: np.ndarray, block: np.ndarray, spec: KernelSpec) -> np.ndarray:
     ok = (bn > 0) & (xn > 0)
     out[ok] = dots[ok] / (bn[ok] * xn)
     return out
-
-
-def kernel_value(x: Sequence, y: Sequence, spec: KernelSpec) -> float:
-    import numpy as np
-    xv = np.asarray(x, dtype=float)
-    yv = np.asarray(y, dtype=float)
-    if xv.shape != yv.shape or xv.ndim != 1:
-        raise ValueError(f"vector length mismatch: {xv.shape} vs {yv.shape}")
-    return float(_rows(xv, yv[None, :], spec)[0])
 
 
 def kernel_matrix(vectors, spec: KernelSpec) -> np.ndarray:

@@ -40,7 +40,8 @@ def sample_size(support_size: int, epsilon: float, delta: float) -> int:
     """Runs needed so the empirical class distribution is within epsilon
     (L1) of the true one with probability at least 1 - delta.
 
-    Computes ceil(2 * (support_size * ln 2 + ln(1/delta)) / epsilon^2).
+    Computes ceil(2 * (support_size * ln 2 + ln(1/delta)) / epsilon^2),
+    and raises ValueError when that is not a finite number.
     """
     if support_size < 1:
         raise ValueError(f"support_size must be >= 1, got {support_size}")
@@ -48,8 +49,11 @@ def sample_size(support_size: int, epsilon: float, delta: float) -> int:
         raise ValueError(f"epsilon must be in (0, 1], got {epsilon}")
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
-    bound = 2.0 * (support_size * math.log(2.0) + math.log(1.0 / delta))
-    return math.ceil(bound / (epsilon * epsilon))
+    try:
+        bound = 2.0 * (support_size * math.log(2.0) + math.log(1.0 / delta))
+        return math.ceil(bound / (epsilon * epsilon))
+    except ArithmeticError:  # overflow, or epsilon^2 underflowing to 0
+        raise ValueError("the walk budget is not a finite number") from None
 
 
 @dataclass(frozen=True)

@@ -4,10 +4,12 @@ Most of these deliberately avoid the algorithms used by the package
 (BFS path counting, degeneracy peeling, walk simulation) so that
 expected values in tests come from an independent route. The last
 ones are the package's former straightforward implementations of
-betweenness, the walk sampler and k-NN neighbor ranking, kept as
-references that the faster replacements must match exactly.
+betweenness, the walk sampler, k-NN neighbor ranking and the one-pair
+kernel, kept as references that the faster replacements must match
+exactly.
 """
 
+import math
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -326,3 +328,22 @@ def reference_knn(K, labels, k):
         best = max(tally.values())
         correct += min(lbl for lbl, c in tally.items() if c == best) == labels[i]
     return hits, correct / len(K)
+
+
+def kernel_value(x, y, spec):
+    """Kernel of one pair of vectors, straight from each kind's formula
+    in plain floats: the pair reference for ``kernel_matrix``. Cosine
+    with a zero-norm vector is 0."""
+    if len(x) != len(y):
+        raise ValueError(f"vector length mismatch: {len(x)} vs {len(y)}")
+    x, y = [float(a) for a in x], [float(b) for b in y]
+    if spec.kind == "dot":
+        return sum(a * b for a, b in zip(x, y))
+    if spec.kind == "hist_intersection":
+        return sum(min(a, b) for a, b in zip(x, y))
+    if spec.kind == "rbf":
+        return math.exp(-spec.gamma * sum((a - b) ** 2 for a, b in zip(x, y)))
+    nx, ny = math.sqrt(sum(a * a for a in x)), math.sqrt(sum(b * b for b in y))
+    if nx == 0 or ny == 0:
+        return 0.0
+    return sum(a * b for a, b in zip(x, y)) / (nx * ny)

@@ -27,7 +27,7 @@ def random_connected_graph(graph_id, n_nodes, extra_edges, rng,
     if labeled:
         node_labels = tuple(rng.choice(NODE_ALPHABET) for _ in range(n_nodes))
         edge_labels = tuple(rng.choice(EDGE_ALPHABET) for _ in ordered)
-    return Graph(graph_id, n_nodes, ordered, node_labels, edge_labels).validate()
+    return Graph(graph_id, n_nodes, ordered, node_labels, edge_labels)
 
 
 def cycle_noise_graph(graph_id, n_nodes, n_extra, rng) -> Graph:
@@ -40,7 +40,7 @@ def cycle_noise_graph(graph_id, n_nodes, n_extra, rng) -> Graph:
     ]
     rng.shuffle(candidates)
     edges.update(candidates[:n_extra])
-    return Graph(graph_id, n_nodes, tuple(sorted(edges))).validate()
+    return Graph(graph_id, n_nodes, tuple(sorted(edges)))
 
 
 def star_noise_graph(graph_id, n_leaves, n_extra, rng) -> Graph:
@@ -49,7 +49,7 @@ def star_noise_graph(graph_id, n_leaves, n_extra, rng) -> Graph:
     candidates = [(u, v) for u in range(1, n) for v in range(u + 1, n)]
     rng.shuffle(candidates)
     edges.update(candidates[:n_extra])
-    return Graph(graph_id, n, tuple(sorted(edges))).validate()
+    return Graph(graph_id, n, tuple(sorted(edges)))
 
 
 def random_graphlet(rng, max_edges=8, labeled=False) -> Graphlet:

@@ -44,7 +44,6 @@ def test_sample_size_command(capsys):
     assert main(["sample-size", "--a", "1", "--epsilon", "0.1", "--delta", "0.1"]) == 0
     assert capsys.readouterr().out.strip() == "600"
 
-
 def test_usage_errors_exit_one(tmp_path, capsys):
     assert main(["sample-size", "--a", "1", "--epsilon", "0.1"]) == 1
     assert main(["no-such-command"]) == 1
@@ -82,6 +81,19 @@ def test_data_errors_exit_two(tmp_path, capsys):
                  "--T", "3", "--M", "2"]) == 2
     err = capsys.readouterr().err
     assert "line 3" in err
+    # walk budgets that are not finite numbers
+    for a, epsilon, delta in (("79", "1e-200", "0.1"),  # epsilon^2 underflows to 0
+                              ("79", "0.1", "1e-320"),  # 1/delta overflows
+                              (str(10**400), "0.1", "0.1")):  # a overflows a float
+        assert main(["sample-size", "--a", a, "--epsilon", epsilon,
+                     "--delta", delta]) == 2
+        assert capsys.readouterr().err == "error: the walk budget is not a finite number\n"
+    graphs = _write(tmp_path, "g.txt", TRIANGLE_TXT)
+    out = tmp_path / "out"
+    assert main(["embed", "--graphs", graphs, "--manifest", manifest, "--T", "3",
+                 "--epsilon", "1e-200", "--delta", "0.1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: the walk budget is not a finite number\n"
+    assert not out.exists()
 
 
 def test_embed_labels_with_key_separators_exit_two(tmp_path, capsys):
@@ -272,6 +284,8 @@ def test_kernel_and_knn_share_one_kernel_spec_rule(tmp_path, capsys):
                 "--out", out] + extra
         for bad in (["--kind", "rbf"],
                     ["--kind", "rbf", "--gamma", "-1"],
+                    ["--kind", "rbf", "--gamma", "nan"],
+                    ["--kind", "rbf", "--gamma", "inf"],
                     ["--kind", "dot", "--gamma", "0.5"],
                     ["--kind", "hist-int", "--gamma", "1"]):
             assert main(base + bad) == 1, (cmd, bad)

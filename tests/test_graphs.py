@@ -73,12 +73,12 @@ def test_edge_labels_with_key_separators_rejected():
 
 
 def test_validate_rejects_labels_with_key_separators():
-    # built in code, these two would both embed as {'1|degree|1,1|a,b,c|': 2}
-    for g in (Graph("a", 2, ((0, 1),), ("a,b", "c")),
-              Graph("b", 2, ((0, 1),), ("a", "b,c")),
-              Graph("c", 2, ((0, 1),), None, ("x|y",))):
+    # built in code, the first two would both embed as {'1|degree|1,1|a,b,c|': 2}
+    for node_labels, edge_labels in ((("a,b", "c"), None),
+                                     (("a", "b,c"), None),
+                                     (None, ("x|y",))):
         with pytest.raises(GraphFormatError, match=r"^label .* contains"):
-            g.validate()
+            Graph("a", 2, ((0, 1),), node_labels, edge_labels)
 
 
 def test_node_labels_without_edge_labels_is_fine():
@@ -144,12 +144,20 @@ def test_degree_sum_equals_twice_edges():
 
 
 def test_validate_catches_direct_construction_errors():
-    with pytest.raises(GraphFormatError):
-        Graph("bad", 2, ((0, 0),)).validate()
-    with pytest.raises(GraphFormatError):
-        Graph("bad", 2, ((0, 1), (0, 1))).validate()
-    with pytest.raises(GraphFormatError):
-        Graph("bad", 2, ((0, 1),), node_labels=("A",)).validate()
+    with pytest.raises(GraphFormatError, match="has no nodes"):
+        Graph("bad", 0, ())
+    with pytest.raises(GraphFormatError, match="self-loop"):
+        Graph("bad", 2, ((0, 0),))
+    with pytest.raises(GraphFormatError, match="duplicate edge"):
+        Graph("bad", 2, ((0, 1), (0, 1)))
+    with pytest.raises(GraphFormatError, match="out of range"):
+        Graph("bad", 2, ((0, 2),))
+    with pytest.raises(GraphFormatError, match="not sorted"):
+        Graph("bad", 3, ((1, 2), (0, 1)))
+    with pytest.raises(GraphFormatError, match="node label count"):
+        Graph("bad", 2, ((0, 1),), node_labels=("A",))
+    with pytest.raises(GraphFormatError, match="edge label count"):
+        Graph("bad", 2, ((0, 1),), edge_labels=())
 
 
 def test_manifest_round_trip_and_errors():

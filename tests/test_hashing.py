@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from graphlets import (
+    GraphFormatError,
     Graphlet,
     enumerate_connected,
     hash_code,
@@ -12,7 +13,6 @@ from graphlets import (
 from graphlets.hashing import (
     HASH_FUNCTIONS,
     betweenness_values,
-    format_value,
     measure_values,
 )
 
@@ -100,17 +100,22 @@ def test_fractional_measures_stay_exact():
         assert all(isinstance(v, Fraction) for v in _sorted(g, "clustering"))
 
 
-def test_format_value():
-    assert format_value(3) == "3"
-    assert format_value(Fraction(4, 1)) == "4"
-    assert format_value(Fraction(1, 3)) == "1/3"
-    assert format_value(Fraction(6, 4)) == "3/2"
-
-
 def test_hash_code_key_grammar():
     assert hash_code(TRIANGLE, "degree") == "3|degree|2,2,2||"
     assert hash_code(TRIANGLE, "degree") is hash_code(TRIANGLE, "degree")  # cached
     assert hash_code(K2, "degree") == "1|degree|1,1||"
+    # rationals print num/den, integral ones (here 0 and 1) plainly
+    assert hash_code(PAW, "clustering") == "4|clustering|0,1/3,1,1||"
+
+
+def test_hand_built_graphlet_labels_with_key_separators_rejected():
+    # both would otherwise hash to '1|degree|1,1|a,b,c|'
+    for node_labels, edge_labels in ((("a,b", "c"), None),
+                                     (("a", "b,c"), None),
+                                     (("a", "b"), ("x|y",))):
+        g = Graphlet(2, ((0, 1),), node_labels, edge_labels)
+        with pytest.raises(GraphFormatError, match=r"^label .* contains"):
+            hash_code(g, "degree")
 
 
 def test_labeled_node_part_is_storage_order_independent():

@@ -127,7 +127,7 @@ def test_traces_equal_reference_sampler():
                                    rng, labeled=True)
         if i % 3 == 0:  # an isolated node: walks starting there take no step
             g = Graph(g.id, g.n_nodes + 1, g.edges, g.node_labels + ("A",),
-                      g.edge_labels).validate()
+                      g.edge_labels)
         for variant in _label_variants(g):
             for alpha in (0.0, 0.5, 1.0):
                 params = SamplerParams(runs=4, max_edges=rng.randint(1, 14),
