@@ -100,6 +100,21 @@ def test_fractional_measures_stay_exact():
         assert all(isinstance(v, Fraction) for v in _sorted(g, "clustering"))
 
 
+def test_format_value():
+    # a value in a key prints as an integer when integral (Fraction(4, 1)
+    # as '4'), otherwise as reduced num/den, and reads back exactly
+    for n_edges in range(1, 6):
+        for g in enumerate_connected(n_edges):
+            for fn in HASH_FUNCTIONS:
+                topo = hash_code(g, fn).split("|")[2].split(",")
+                values = [Fraction(v) for v in _sorted(g, fn)]
+                assert [Fraction(t) for t in topo] == values
+                for t, v in zip(topo, values):
+                    plain = str(v.numerator)
+                    assert t == (plain if v.denominator == 1
+                                 else f"{plain}/{v.denominator}"), (fn, g.edges)
+
+
 def test_hash_code_key_grammar():
     assert hash_code(TRIANGLE, "degree") == "3|degree|2,2,2||"
     assert hash_code(TRIANGLE, "degree") is hash_code(TRIANGLE, "degree")  # cached
