@@ -26,6 +26,7 @@ from .embedding import (
 )
 from .graphs import (
     GraphFormatError,
+    _records,
     load_graphs,
     load_manifest,
     resolve_manifest,
@@ -41,6 +42,10 @@ from .kernels import (
     write_precomputed_kernel,
 )
 from .sampling import SamplerParams, connected_graph_count, sample_size
+
+# Walks per graph in one batch: far above the largest published budget
+# (1,289,987), and low enough that one graph's walks end within hours.
+MAX_RUNS = 10**8
 
 _KIND_BY_FLAG = {
     "dot": "dot",
@@ -111,11 +116,6 @@ def _resolve_budgets(args) -> list[tuple[int, int, int, int]]:
     if explicit and args.a_override is not None:
         raise UsageError("embed: --a-override only applies with --epsilon/--delta")
 
-    if explicit:
-        if args.per_size_m:
-            raise UsageError("embed: --per-size-m requires --epsilon/--delta")
-        return [(args.M, args.T, args.t_min, 0)]
-
     def support(t: int) -> int:
         if args.a_override is not None:
             return args.a_override
@@ -126,17 +126,25 @@ def _resolve_budgets(args) -> list[tuple[int, int, int, int]]:
                 f"embed: no built-in class count for t={t}; supply --a-override"
             ) from None
 
-    if not args.per_size_m:
+    if explicit:
+        if args.per_size_m:
+            raise UsageError("embed: --per-size-m requires --epsilon/--delta")
+        batches = [(args.M, args.T, args.t_min, 0)]
+    elif not args.per_size_m:
         runs = sample_size(support(args.T), args.epsilon, args.delta)
-        return [(runs, args.T, args.t_min, 0)]
-    if args.a_override is not None:
-        raise UsageError("embed: --a-override is incompatible with --per-size-m")
-    batches = []
-    offset = 0
-    for t in range(args.t_min, args.T + 1):
-        runs = sample_size(support(t), args.epsilon, args.delta)
-        batches.append((runs, t, t, offset))
-        offset += runs
+        batches = [(runs, args.T, args.t_min, 0)]
+    else:
+        if args.a_override is not None:
+            raise UsageError("embed: --a-override is incompatible with --per-size-m")
+        batches = []
+        offset = 0
+        for t in range(args.t_min, args.T + 1):
+            runs = sample_size(support(t), args.epsilon, args.delta)
+            batches.append((runs, t, t, offset))
+            offset += runs
+    for runs, *_ in batches:
+        if runs > MAX_RUNS:
+            raise ValueError(f"embed: the walk budget exceeds {MAX_RUNS} walks per graph")
     return batches
 
 
@@ -266,19 +274,16 @@ def _read_rankings(path: str) -> list[tuple[str, list[str]]]:
     out: list[tuple[str, list[str]]] = []
     seen: set[str] = set()
     with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh.read().splitlines(), start=1):
-            if not raw.strip() or raw.lstrip().startswith("#"):
-                continue
-            parts = raw.split("\t")
-            if len(parts) != 2 or not parts[1]:
-                raise GraphFormatError(
-                    "expected: <query_id><TAB><item1,item2,...>", line_no
-                )
-            qid, items = parts[0], parts[1].split(",")
-            if qid in seen:
-                raise GraphFormatError(f"duplicate query id {qid!r}", line_no)
-            seen.add(qid)
-            out.append((qid, items))
+        text = fh.read()
+    for line_no, raw in _records(text):
+        parts = raw.split("\t")
+        if len(parts) != 2 or not parts[1]:
+            raise GraphFormatError("expected: <query_id><TAB><item1,item2,...>", line_no)
+        qid, items = parts[0], parts[1].split(",")
+        if qid in seen:
+            raise GraphFormatError(f"duplicate query id {qid!r}", line_no)
+        seen.add(qid)
+        out.append((qid, items))
     return out
 
 

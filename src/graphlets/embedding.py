@@ -11,13 +11,17 @@ vocabulary applied to new data) are dropped and tallied in an
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
-from dataclasses import dataclass
-from typing import IO, Iterable, Mapping, Sequence
+from dataclasses import dataclass, replace
+from typing import Iterable, Mapping, Sequence
 
 from .graphs import Graph
 from .hashing import hash_code
 from .sampling import SamplerParams, sample_all
+
+CHUNK_RUNS = 1000  # runs sampled at once, so a large budget holds few traces
+_FLOAT_MAX = sys.float_info.max  # the kernels compute in doubles
 
 
 @dataclass(frozen=True)
@@ -48,7 +52,9 @@ def embed_graph_stats(
 
     Returns (code->count map, number of dead-end runs). Only graphlets
     with at least ``min_edges`` edges are hashed; the map sums to
-    runs * (max_edges - min_edges + 1) when no run dead-ends.
+    runs * (max_edges - min_edges + 1) when no run dead-ends. Runs are
+    sampled CHUNK_RUNS at a time over the same run indices, so memory
+    does not grow with the budget.
     """
     if not 1 <= min_edges <= params.max_edges:
         raise ValueError(
@@ -56,11 +62,13 @@ def embed_graph_stats(
         )
     counts: Counter[str] = Counter()
     dead_ends = 0
-    for trace in sample_all(graph, params, run_offset):
-        if trace.dead_end:
-            dead_ends += 1
-        for g in trace.graphlets[min_edges - 1 :]:
-            counts[hash_code(g, fn)] += 1
+    for start in range(0, params.runs, CHUNK_RUNS):
+        chunk = replace(params, runs=min(CHUNK_RUNS, params.runs - start))
+        for trace in sample_all(graph, chunk, run_offset + start):
+            if trace.dead_end:
+                dead_ends += 1
+            for g in trace.graphlets[min_edges - 1 :]:
+                counts[hash_code(g, fn)] += 1
     return dict(counts), dead_ends
 
 
@@ -122,20 +130,20 @@ def write_embeddings(
             fh.write(emb.graph_id + "\t" + "\t".join(cells) + "\n")
 
 
-def _parse_cell(cell: str) -> float | int:
+def _parse_cell(cell: str, graph_id: str) -> float | int:
     try:
-        return int(cell)
+        value: float | int = int(cell)
     except ValueError:
-        return float(cell)
+        value = float(cell)
+    if abs(value) <= _FLOAT_MAX:  # false for nan, inf and ints a double cannot hold
+        return value
+    raise ValueError(f"graph {graph_id!r}: cell {cell!r} is not a finite number")
 
 
-def read_embeddings(source: str | IO[str]) -> tuple[list[str], list[list]]:
-    """Read an embeddings TSV back into (graph ids, count rows)."""
-    if isinstance(source, str):
-        with open(source, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    else:
-        lines = source.read().splitlines()
+def read_embeddings(path: str) -> tuple[list[str], list[list]]:
+    """Read an embeddings TSV back into (graph ids, rows of finite numbers)."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
     if not lines:
         raise ValueError("empty embeddings file")
     width = len(lines[0].split("\t")) - 1
@@ -148,5 +156,5 @@ def read_embeddings(source: str | IO[str]) -> tuple[list[str], list[list]]:
         if len(cells) != width + 1:
             raise ValueError(f"row width mismatch for {cells[0]!r}")
         ids.append(cells[0])
-        rows.append([_parse_cell(c) for c in cells[1:]])
+        rows.append([_parse_cell(c, cells[0]) for c in cells[1:]])
     return ids, rows

@@ -18,13 +18,17 @@ key.
 A dataset manifest is a companion TSV with one
 ``<graph_id><TAB><class_label><TAB><split>`` line per graph, where
 split is one of ``train``, ``valid``, ``test``, ``unsplit``.
+
+The graph file, the manifest and ``graphlets rho``'s ranking files
+share one record loop, ``_records``, which skips blank and ``#`` comment
+lines; every parse error names its line in the file.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import IO, Iterable, Mapping, NamedTuple, Sequence
+from typing import IO, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 SPLITS = ("train", "valid", "test", "unsplit")
 
@@ -75,8 +79,7 @@ class Graph:
     def __post_init__(self) -> None:
         if self.n_nodes < 1:
             raise GraphFormatError(f"graph {self.id!r} has no nodes")
-        seen: set[tuple[int, int]] = set()
-        prev: tuple[int, int] | None = None
+        prev = (-1, -1)  # edges are sorted, so a duplicate follows its twin
         for u, v in self.edges:
             if u == v:
                 raise GraphFormatError(f"graph {self.id!r}: self-loop at node {u}")
@@ -84,11 +87,10 @@ class Graph:
                 raise GraphFormatError(
                     f"graph {self.id!r}: edge ({u}, {v}) out of range or unnormalized"
                 )
-            if (u, v) in seen:
+            if (u, v) == prev:
                 raise GraphFormatError(f"graph {self.id!r}: duplicate edge ({u}, {v})")
-            if prev is not None and (u, v) < prev:
+            if (u, v) < prev:
                 raise GraphFormatError(f"graph {self.id!r}: edges not sorted")
-            seen.add((u, v))
             prev = (u, v)
         if self.node_labels is not None and len(self.node_labels) != self.n_nodes:
             raise GraphFormatError(f"graph {self.id!r}: node label count mismatch")
@@ -152,61 +154,47 @@ def _check_label(label: str | None, line: int | None = None) -> None:
         raise GraphFormatError(f"label {label!r} contains ',' or '|'", line)
 
 
-class _GraphBuilder:
-    def __init__(self, graph_id: str, line: int):
-        self.graph_id = graph_id
-        self.start_line = line
-        self.nodes: dict[int, str | None] = {}
-        self.edges: dict[tuple[int, int], str | None] = {}
-        self.node_labeled: bool | None = None
-        self.edge_labeled: bool | None = None
+def _records(text: str) -> Iterator[tuple[int, str]]:
+    """(line number, line) of each line that is neither blank nor a ``#`` comment."""
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        head = raw.lstrip()
+        if head and not head.startswith("#"):
+            yield line_no, raw
 
-    def add_node(self, node_id: int, label: str | None, line: int) -> None:
-        if node_id in self.nodes:
-            raise GraphFormatError(f"duplicate node id {node_id}", line)
-        _check_label(label, line)
-        labeled = label is not None
-        if self.node_labeled is None:
-            self.node_labeled = labeled
-        elif self.node_labeled != labeled:
-            raise GraphFormatError("mixed node labelling within one graph", line)
-        self.nodes[node_id] = label
 
-    def add_edge(self, u: int, v: int, label: str | None, line: int) -> None:
-        if u == v:
-            raise GraphFormatError(f"self-loop at node {u}", line)
-        if u not in self.nodes or v not in self.nodes:
-            raise GraphFormatError(f"edge ({u}, {v}) references an undeclared node", line)
-        key = edge_key(u, v)
-        if key in self.edges:
-            raise GraphFormatError(f"duplicate edge ({u}, {v})", line)
-        _check_label(label, line)
-        labeled = label is not None
-        if self.edge_labeled is None:
-            self.edge_labeled = labeled
-        elif self.edge_labeled != labeled:
-            raise GraphFormatError("mixed edge labelling within one graph", line)
-        self.edges[key] = label
+# record kind -> (allowed argument counts, usage, what it declares)
+_RECORDS = {
+    "t": ((1,), "t <graph_id>", "graph"),
+    "v": ((1, 2), "v <node_id> [<label>]", "node"),
+    "e": ((2, 3), "e <u> <v> [<label>]", "edge"),
+}
 
-    def finish(self) -> Graph:
-        if not self.nodes:
-            raise GraphFormatError(
-                f"graph {self.graph_id!r} declares no nodes", self.start_line
-            )
-        n = len(self.nodes)
-        if sorted(self.nodes) != list(range(n)):
-            raise GraphFormatError(
-                f"graph {self.graph_id!r}: node ids must be contiguous 0..{n - 1}",
-                self.start_line,
-            )
-        node_labels = None
-        if self.node_labeled:
-            node_labels = tuple(self.nodes[i] for i in range(n))  # type: ignore[misc]
-        ordered = sorted(self.edges)
-        edge_labels = None
-        if self.edge_labeled:
-            edge_labels = tuple(self.edges[e] for e in ordered)  # type: ignore[misc]
-        return Graph(self.graph_id, n, tuple(ordered), node_labels, edge_labels)
+
+def _add(items: dict, key, label: str | None, line: int, what: str, dup: str) -> None:
+    """Record a node or edge of the graph in progress, checking its label."""
+    if key in items:
+        raise GraphFormatError(dup, line)
+    _check_label(label, line)
+    if items and (label is None) != (next(iter(items.values())) is None):
+        raise GraphFormatError(f"mixed {what} labelling within one graph", line)
+    items[key] = label
+
+
+def _finish(graph_id: str, line: int, nodes: dict, edges: dict) -> Graph:
+    """The Graph of a finished ``t`` block; its checks report the ``t`` line."""
+    if not nodes:
+        raise GraphFormatError(f"graph {graph_id!r} declares no nodes", line)
+    n = len(nodes)
+    if sorted(nodes) != list(range(n)):
+        raise GraphFormatError(
+            f"graph {graph_id!r}: node ids must be contiguous 0..{n - 1}", line
+        )
+    ordered = sorted(edges)
+    node_labels = tuple(nodes[i] for i in range(n))
+    edge_labels = tuple(edges[e] for e in ordered)
+    return Graph(graph_id, n, tuple(ordered),  # labelling is all or nothing
+                 node_labels if None not in node_labels else None,
+                 edge_labels if edges and None not in edge_labels else None)
 
 
 def parse_graph_file(source: str | IO[str]) -> list[Graph]:
@@ -214,50 +202,44 @@ def parse_graph_file(source: str | IO[str]) -> list[Graph]:
     text = source if isinstance(source, str) else source.read()
     graphs: list[Graph] = []
     seen_ids: set[str] = set()
-    builder: _GraphBuilder | None = None
-
-    def flush() -> None:
-        nonlocal builder
-        if builder is not None:
-            graphs.append(builder.finish())
-            builder = None
-
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        tokens = raw.split()
-        if not tokens or tokens[0].startswith("#"):
-            continue
-        kind = tokens[0]
-        if kind == "t":
-            if len(tokens) != 2:
-                raise GraphFormatError("expected: t <graph_id>", line_no)
-            flush()
-            if tokens[1] in seen_ids:
-                raise GraphFormatError(f"duplicate graph id {tokens[1]!r}", line_no)
-            seen_ids.add(tokens[1])
-            builder = _GraphBuilder(tokens[1], line_no)
-        elif kind == "v":
-            if builder is None:
-                raise GraphFormatError("node declared before any 't' line", line_no)
-            if len(tokens) not in (2, 3):
-                raise GraphFormatError("expected: v <node_id> [<label>]", line_no)
-            try:
-                node_id = int(tokens[1])
-            except ValueError:
-                raise GraphFormatError(f"invalid node id {tokens[1]!r}", line_no) from None
-            builder.add_node(node_id, tokens[2] if len(tokens) == 3 else None, line_no)
-        elif kind == "e":
-            if builder is None:
-                raise GraphFormatError("edge declared before any 't' line", line_no)
-            if len(tokens) not in (3, 4):
-                raise GraphFormatError("expected: e <u> <v> [<label>]", line_no)
-            try:
-                u, v = int(tokens[1]), int(tokens[2])
-            except ValueError:
-                raise GraphFormatError("invalid edge endpoints", line_no) from None
-            builder.add_edge(u, v, tokens[3] if len(tokens) == 4 else None, line_no)
-        else:
+    current = None  # (graph id, line of its 't' record, nodes, edges)
+    for line_no, raw in _records(text):
+        kind, *args = raw.split()
+        if kind not in _RECORDS:
             raise GraphFormatError(f"unknown record type {kind!r}", line_no)
-    flush()
+        counts, usage, what = _RECORDS[kind]
+        if current is None and kind != "t":
+            raise GraphFormatError(f"{what} declared before any 't' line", line_no)
+        if len(args) not in counts:
+            raise GraphFormatError(f"expected: {usage}", line_no)
+        if kind == "t":
+            if current is not None:
+                graphs.append(_finish(*current))
+            if args[0] in seen_ids:
+                raise GraphFormatError(f"duplicate graph id {args[0]!r}", line_no)
+            seen_ids.add(args[0])
+            current = (args[0], line_no, {}, {})
+            continue
+        label = args[counts[0]] if len(args) > counts[0] else None
+        try:
+            ids = [int(token) for token in args[: counts[0]]]
+        except ValueError:
+            bad = f"invalid node id {args[0]!r}" if kind == "v" else "invalid edge endpoints"
+            raise GraphFormatError(bad, line_no) from None
+        _, _, nodes, edges = current
+        if kind == "v":
+            _add(nodes, ids[0], label, line_no, what, f"duplicate node id {ids[0]}")
+            continue
+        u, v = ids
+        if u == v:
+            raise GraphFormatError(f"self-loop at node {u}", line_no)
+        if u not in nodes or v not in nodes:
+            raise GraphFormatError(
+                f"edge ({u}, {v}) references an undeclared node", line_no
+            )
+        _add(edges, edge_key(u, v), label, line_no, what, f"duplicate edge ({u}, {v})")
+    if current is not None:
+        graphs.append(_finish(*current))
     return graphs
 
 
@@ -296,10 +278,8 @@ def parse_manifest(source: str | IO[str]) -> list[ManifestEntry]:
     text = source if isinstance(source, str) else source.read()
     entries: list[ManifestEntry] = []
     seen: set[str] = set()
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        if not raw.strip() or raw.lstrip().startswith("#"):
-            continue
-        parts = raw.rstrip("\n").split("\t")
+    for line_no, raw in _records(text):
+        parts = raw.split("\t")
         if len(parts) != 3:
             raise GraphFormatError(
                 "expected: <graph_id><TAB><class_label><TAB><split>", line_no

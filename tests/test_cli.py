@@ -4,6 +4,8 @@ import random
 import subprocess
 import sys
 
+import pytest
+
 import graphlets
 from graphlets import save_graphs, save_manifest
 from graphlets import cli
@@ -93,6 +95,42 @@ def test_data_errors_exit_two(tmp_path, capsys):
     assert main(["embed", "--graphs", graphs, "--manifest", manifest, "--T", "3",
                  "--epsilon", "1e-200", "--delta", "0.1", "--out", str(out)]) == 2
     assert capsys.readouterr().err == "error: the walk budget is not a finite number\n"
+    assert not out.exists()
+
+
+def test_walk_budget_above_the_bound_exits_two(tmp_path, capsys):
+    graphs = _write(tmp_path, "g.txt", TRIANGLE_TXT)
+    manifest = _write(tmp_path, "m.tsv", "tri\tc\tunsplit\n")
+    out = tmp_path / "out"
+    base = ["embed", "--graphs", graphs, "--manifest", manifest, "--T", "3",
+            "--out", str(out)]
+    # the table's largest budget is far below the bound
+    args = cli.build_parser().parse_args(["embed", "--graphs", graphs, "--manifest", manifest,
+                                          "--T", "10", "--epsilon", "0.05", "--delta", "0.05"])
+    assert cli._resolve_budgets(args) == [(1289987, 10, 1, 0)]
+    # 1e-100 derives about 1.1e202 walks per graph, which would never finish
+    for budget in (["--epsilon", "1e-100", "--delta", "0.1"],
+                   ["--epsilon", "1e-100", "--delta", "0.1", "--per-size-m"],
+                   ["--M", str(10**8 + 1)]):
+        with pytest.raises(ValueError, match="exceeds 100000000 walks per graph"):
+            cli._resolve_budgets(cli.build_parser().parse_args(base + budget))
+        assert main(base + budget) == 2
+        assert capsys.readouterr().err == (
+            "error: embed: the walk budget exceeds 100000000 walks per graph\n")
+    assert not out.exists()
+
+
+def test_non_finite_embedding_cells_exit_two(tmp_path, capsys):
+    manifest = _write(tmp_path, "m.tsv", "c1\ta\tunsplit\nc2\tb\tunsplit\n")
+    out = tmp_path / "out"
+    for cell in ("nan", "NaN", "inf", "-inf", "1e999", str(10**400)):  # kernels use doubles
+        emb = _write(tmp_path, "e.tsv",
+                     f"graph_id\tbin0\tbin1\nc1\t1\t2\nc2\t0.5\t{cell}\n")
+        for command in (["kernel"], ["knn", "--k", "1"]):
+            assert main(command + ["--embeddings", emb, "--manifest", manifest,
+                                   "--out", str(out)]) == 2
+            assert capsys.readouterr().err == (
+                f"error: graph 'c2': cell {cell!r} is not a finite number\n")
     assert not out.exists()
 
 

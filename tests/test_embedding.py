@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -8,11 +9,14 @@ from graphlets import (
     build_vocabulary,
     embed_graph_stats,
     finalize_embeddings,
+    hash_code,
     parse_graph_file,
     read_embeddings,
+    sample_run,
     write_embeddings,
     write_vocabulary,
 )
+from graphlets import embedding
 
 from synth import random_connected_graph
 
@@ -147,3 +151,24 @@ def test_code_keys_carry_resolved_function():
     for key in counts:
         t, fn = key.split("|")[:2]
         assert fn == "degree" and 1 <= int(t) <= 3  # auto resolves by size
+
+
+def test_large_budgets_are_sampled_in_chunks(monkeypatch):
+    calls = []
+    sample_all = embedding.sample_all
+
+    def spy(graph, params, run_offset=0):
+        calls.append((run_offset, params.runs))
+        return sample_all(graph, params, run_offset)
+
+    monkeypatch.setattr(embedding, "sample_all", spy)
+    chunk = embedding.CHUNK_RUNS
+    params = SamplerParams(runs=2 * chunk + 7, max_edges=2, seed=3)
+    counts, dead = embed_graph_stats(TRIANGLE, params, "degree", 1, 5)
+    assert calls == [(5, chunk), (5 + chunk, chunk), (5 + 2 * chunk, 7)]
+    # the same run indices, hence the same counts as one walk at a time
+    want: Counter[str] = Counter()
+    for i in range(params.runs):
+        for g in sample_run(TRIANGLE, params, 5 + i).graphlets:
+            want[hash_code(g, "degree")] += 1
+    assert (counts, dead) == (dict(want), 0)

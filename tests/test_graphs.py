@@ -12,6 +12,7 @@ from graphlets import (
     serialize_graph,
     serialize_graphs,
 )
+from graphlets import cli
 
 from synth import random_connected_graph
 
@@ -179,3 +180,67 @@ def test_resolve_manifest_requires_every_id():
     with pytest.raises(GraphFormatError, match="missing"):
         resolve_manifest(entries, graphs)
     assert resolve_manifest(entries[:1], graphs)["g0"] is graphs[0]
+
+
+PARSER_ERRORS = (  # (parser, input text, exact message)
+    ("graph", "t\n", "line 1: expected: t <graph_id>"),
+    ("graph", "t a b\n", "line 1: expected: t <graph_id>"),
+    ("graph", "t g\nv 0\nt g\nv 0\n", "line 3: duplicate graph id 'g'"),
+    ("graph", "v 0\n", "line 1: node declared before any 't' line"),
+    ("graph", "e 0 1\n", "line 1: edge declared before any 't' line"),
+    ("graph", "t g\nv\n", "line 2: expected: v <node_id> [<label>]"),
+    ("graph", "t g\nv 0 a b\n", "line 2: expected: v <node_id> [<label>]"),
+    ("graph", "t g\nv 0\ne 0\n", "line 3: expected: e <u> <v> [<label>]"),
+    ("graph", "t g\nv 0\nv 1\ne 0 1 a b\n", "line 4: expected: e <u> <v> [<label>]"),
+    ("graph", "t g\nv x\n", "line 2: invalid node id 'x'"),
+    ("graph", "t g\nv 0\nv 1\ne 0 y\n", "line 4: invalid edge endpoints"),
+    ("graph", "t g\nv 0\nv 0\n", "line 3: duplicate node id 0"),
+    ("graph", "t g\nv 0 a\nv 0 b|c\n", "line 3: duplicate node id 0"),
+    ("graph", "t g\nv 0 a,b\n", "line 2: label 'a,b' contains ',' or '|'"),
+    ("graph", "t g\nv 0\nv 1 a,b\n", "line 3: label 'a,b' contains ',' or '|'"),
+    ("graph", "t g\nv 0\nv 1\ne 0 1 p|q\n", "line 4: label 'p|q' contains ',' or '|'"),
+    ("graph", "t g\nv 0 C\nv 1\n", "line 3: mixed node labelling within one graph"),
+    ("graph", "t g\nv 0\nv 1\nv 2\ne 0 1 a\ne 1 2\n",
+     "line 6: mixed edge labelling within one graph"),
+    ("graph", "t g\nv 0\ne 0 0\n", "line 3: self-loop at node 0"),
+    ("graph", "t g\ne 3 3\n", "line 2: self-loop at node 3"),
+    ("graph", "t g\nv 0\ne 0 2\n", "line 3: edge (0, 2) references an undeclared node"),
+    ("graph", "t g\nv 0\ne 0 1 a|b\n", "line 3: edge (0, 1) references an undeclared node"),
+    ("graph", "t g\nv 0\nv 1\ne 0 1\ne 1 0\n", "line 5: duplicate edge (1, 0)"),
+    ("graph", "t g\nv 0\nv 1\ne 0 1\ne 1 0 a,b\n", "line 5: duplicate edge (1, 0)"),
+    ("graph", "t g\nv 0\nv 1\ne 0 1 a\ne 0 1\n", "line 5: duplicate edge (0, 1)"),
+    ("graph", "t g\nz 1\n", "line 2: unknown record type 'z'"),
+    ("graph", "z\n", "line 1: unknown record type 'z'"),
+    ("graph", "t g\n", "line 1: graph 'g' declares no nodes"),
+    ("graph", "t g\nt h\nv 0\n", "line 1: graph 'g' declares no nodes"),
+    ("graph", "t g\nt g\n", "line 1: graph 'g' declares no nodes"),
+    ("graph", "# c\n\n  t g\nv 0\nv 2\n",
+     "line 3: graph 'g': node ids must be contiguous 0..1"),
+    ("graph", "t g\nv 0\nv 1\ne 0 1\nt h\nv 1\nt k\n",
+     "line 5: graph 'h': node ids must be contiguous 0..0"),
+    ("manifest", "g0 pos train\n",
+     "line 1: expected: <graph_id><TAB><class_label><TAB><split>"),
+    ("manifest", "g0\tpos\n", "line 1: expected: <graph_id><TAB><class_label><TAB><split>"),
+    ("manifest", "g0\tpos\ttrain\textra\n",
+     "line 1: expected: <graph_id><TAB><class_label><TAB><split>"),
+    ("manifest", "g0\tpos\tvalidation\n", "line 1: unknown split 'validation'"),
+    ("manifest", "# c\ng0\tpos\ttrain\n\ng0\tneg\ttest\n", "line 4: duplicate graph id 'g0'"),
+    ("ranks", "q1 a,b\n", "line 1: expected: <query_id><TAB><item1,item2,...>"),
+    ("ranks", "q1\t\n", "line 1: expected: <query_id><TAB><item1,item2,...>"),
+    ("ranks", "q1\ta\tb\n", "line 1: expected: <query_id><TAB><item1,item2,...>"),
+    ("ranks", "q1\ta,b\n# c\nq1\tb,a\n", "line 3: duplicate query id 'q1'"),
+)
+
+
+def test_every_parser_error_message_is_pinned(tmp_path):
+    path = tmp_path / "ranks.tsv"
+
+    def read_ranks(text):
+        path.write_text(text)
+        return cli._read_rankings(str(path))
+
+    parsers = {"graph": parse_graph_file, "manifest": parse_manifest, "ranks": read_ranks}
+    for kind, text, message in PARSER_ERRORS:
+        with pytest.raises(GraphFormatError) as info:
+            parsers[kind](text)
+        assert str(info.value) == message, (kind, text)
