@@ -15,9 +15,9 @@ bounded by the reported one.
 
 Enumeration dedupes each size's children against the kept
 representatives of their signature bucket. One enumeration call builds
-one oracle profile (adjacency, neighbour sets, node signatures) per
-graphlet and drops them all when it returns; ``is_isomorphic`` runs the
-same search on two fresh profiles.
+one oracle profile per graphlet (labelled adjacency, node signatures and
+the search's placement order) and drops them all when it returns;
+``is_isomorphic`` runs the same search on two fresh profiles.
 """
 
 from __future__ import annotations
@@ -28,59 +28,48 @@ from functools import lru_cache
 from itertools import combinations
 from typing import NamedTuple
 
-from .graphs import Graph, Graphlet, adjacency_lists, serialize_graph
+from .graphs import Graph, Graphlet, serialize_graph
 from .hashing import measure_values, resolve_hash_function
 
 MAX_ORACLE_NODES = 12
 MAX_ENUM_EDGES = 10
 
 
-def _signatures(g: Graphlet, adj: tuple[tuple[int, ...], ...]) -> list[tuple]:
-    """Per node: degree, label, and the sorted degrees of its neighbours."""
-    degs = [len(ns) for ns in adj]
-    labels = g.node_labels or ("",) * g.n_nodes
-    return [
-        (degs[u], labels[u], tuple(sorted(degs[w] for w in adj[u])))
-        for u in range(g.n_nodes)
-    ]
-
-
 class _Profile(NamedTuple):
     """What the isomorphism search reads of one graphlet, built once."""
 
-    g: Graphlet
-    nbrs: tuple[tuple[int, ...], ...]
-    adj: list[set[int]]
-    sig: list[tuple]
+    adj: list[dict[int, str | None]]  # node -> {neighbour: edge label or None}
+    sig: list[tuple]  # per node: degree, label, sorted neighbour degrees
     by_sig: dict[tuple, list[int]]  # signature -> nodes carrying it, ascending
+    order: list[int]  # placement order of the search
 
 
 def _profile(g: Graphlet) -> _Profile:
-    nbrs = adjacency_lists(g.n_nodes, g.edges)
-    sig = _signatures(g, nbrs)
+    n = g.n_nodes
+    adj: list[dict[int, str | None]] = [{} for _ in range(n)]
+    for (u, v), label in zip(g.edges, g.edge_labels or (None,) * g.n_edges):
+        adj[u][v] = adj[v][u] = label
+    labels = g.node_labels or ("",) * n
+    sig = [(len(a), labels[u], tuple(sorted(len(adj[w]) for w in a)))
+           for u, a in enumerate(adj)]
     by_sig: dict[tuple, list[int]] = {}
     for u, s in enumerate(sig):
         by_sig.setdefault(s, []).append(u)
-    return _Profile(g, nbrs, [set(ns) for ns in nbrs], sig, by_sig)
+    # Breadth-first from a maximum-degree node, so each node of its
+    # component (after the first) touches a node placed before it.
+    order = [max(range(n), key=lambda u: len(adj[u]))]  # max keeps the lowest of ties
+    for u in order:
+        order.extend(w for w in adj[u] if w not in order)
+    order.extend(u for u in range(n) if u not in order)
+    return _Profile(adj, sig, by_sig, order)
 
 
 def _same_class(p1: _Profile, p2: _Profile) -> bool:
     """Backtracking search for a signature-preserving node mapping of
     p1's graphlet onto p2's that keeps adjacency and edge labels.
     The caller has checked sizes and the sorted signatures."""
-    n = p1.g.n_nodes
-    nbrs1, adj1, adj2 = p1.nbrs, p1.adj, p2.adj
-    elab1 = dict(zip(p1.g.edges, p1.g.edge_labels or ()))
-    elab2 = dict(zip(p2.g.edges, p2.g.edge_labels or ()))
-    candidates = [p2.by_sig[s] for s in p1.sig]
-
-    # Place nodes of g1 breadth-first from a maximum-degree node, so each
-    # node of its component (after the first) touches a placed node.
-    order = [max(range(n), key=lambda u: (len(nbrs1[u]), -u))]
-    for u in order:
-        order.extend(w for w in nbrs1[u] if w not in order)
-    order.extend(u for u in range(n) if u not in order)
-
+    adj1, adj2, order = p1.adj, p2.adj, p1.order
+    n = len(order)
     mapping = [-1] * n
     used = [False] * n
 
@@ -88,49 +77,35 @@ def _same_class(p1: _Profile, p2: _Profile) -> bool:
         if i == n:
             return True
         x = order[i]
-        for y in candidates[x]:
+        for y in p2.by_sig[p1.sig[x]]:
             if used[y]:
                 continue
-            ok = True
-            for p in order[:i]:
-                adj_in_1 = p in adj1[x]
-                if adj_in_1 != (mapping[p] in adj2[y]):
-                    ok = False
+            for p in order[:i]:  # a non-edge reads 0, unequal to every label and to None
+                if adj1[x].get(p, 0) != adj2[y].get(mapping[p], 0):
                     break
-                if adj_in_1 and elab1:
-                    ek1 = (min(p, x), max(p, x))
-                    ek2 = (min(mapping[p], y), max(mapping[p], y))
-                    if elab1[ek1] != elab2[ek2]:
-                        ok = False
-                        break
-            if not ok:
-                continue
-            mapping[x] = y
-            used[y] = True
-            if extend(i + 1):
-                return True
-            mapping[x] = -1
-            used[y] = False
+            else:
+                mapping[x] = y
+                used[y] = True
+                if extend(i + 1):
+                    return True
+                used[y] = False
         return False
 
     return extend(0)
 
 
 def is_isomorphic(g1: Graphlet, g2: Graphlet) -> bool:
-    """Exact isomorphism test by backtracking over degree-compatible
+    """Exact isomorphism test by backtracking over signature-compatible
     node mappings; node/edge labels are respected when present."""
     if g1.n_nodes > MAX_ORACLE_NODES or g2.n_nodes > MAX_ORACLE_NODES:
         raise ValueError(f"isomorphism oracle is limited to {MAX_ORACLE_NODES} nodes")
-    if (g1.node_labels is None) != (g2.node_labels is None) or (
-        g1.edge_labels is None
-    ) != (g2.edge_labels is None):
+    if (g1.node_labels is None, g1.edge_labels is None) != (
+            g2.node_labels is None, g2.edge_labels is None):
         raise ValueError("cannot compare labelled with unlabelled graphlets")
     if g1.n_nodes != g2.n_nodes or g1.n_edges != g2.n_edges:
         return False
     p1, p2 = _profile(g1), _profile(g2)
     if sorted(p1.sig) != sorted(p2.sig):
-        return False
-    if g1.edge_labels is not None and sorted(g1.edge_labels) != sorted(g2.edge_labels):
         return False
     return _same_class(p1, p2)
 

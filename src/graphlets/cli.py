@@ -314,28 +314,27 @@ def cmd_rho(args) -> int:
     return 0
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--seed", type=int, default=0, help="master random seed")
-    sub.add_argument("--threads", type=_positive_int, default=1,
-                     help="worker bound (>= 1, capped by CPUs and graphs); "
-                          "never affects output bytes")
-    sub.add_argument("--out", default=".", help="output directory")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="graphlets",
                      description="Graphlet sampling, hashing, and embedding toolkit")
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--seed", type=int, default=0, help="master random seed")
+    common.add_argument("--threads", type=_positive_int, default=1,
+                        help="worker bound (>= 1, capped by CPUs and graphs); "
+                             "never affects output bytes")
+    common.add_argument("--out", default=".", help="output directory")
 
-    p = subs.add_parser("sample-size", parents=[], help="walk budget from an accuracy target")
+    p = subs.add_parser("sample-size", parents=[common],
+                        help="walk budget from an accuracy target")
     p.add_argument("--a", type=int, required=True, help="class count of the target size")
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--delta", type=float, required=True)
     p.set_defaults(func=cmd_sample_size)
-    _add_common(p)
 
-    p = subs.add_parser("embed", help="sample graphs and write histogram embeddings")
+    p = subs.add_parser("embed", parents=[common],
+                        help="sample graphs and write histogram embeddings")
     p.add_argument("--graphs", required=True, help="graph transaction file")
     p.add_argument("--manifest", required=True, help="graph_id/class/split TSV")
     p.add_argument("--T", type=int, required=True, dest="T",
@@ -361,39 +360,38 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vocab-scope", choices=("train", "all"), default="train",
                    help="build bins from train split only (default) or all graphs")
     p.set_defaults(func=cmd_embed)
-    _add_common(p)
 
-    p = subs.add_parser("kernel", help="export a precomputed kernel matrix")
+    p = subs.add_parser("kernel", parents=[common],
+                        help="export a precomputed kernel matrix")
     p.add_argument("--embeddings", required=True)
     p.add_argument("--manifest", default=None,
                    help="needed for class labels in the export")
     p.add_argument("--kind", choices=sorted(_KIND_BY_FLAG), default="dot")
     p.add_argument("--gamma", type=float, default=None)
     p.set_defaults(func=cmd_kernel)
-    _add_common(p)
 
-    p = subs.add_parser("knn", help="k-NN retrieval scores over a dataset")
+    p = subs.add_parser("knn", parents=[common],
+                        help="k-NN retrieval scores over a dataset")
     p.add_argument("--embeddings", required=True)
     p.add_argument("--manifest", required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--kind", choices=sorted(_KIND_BY_FLAG), default="hist-int")
     p.add_argument("--gamma", type=float, default=None)
     p.set_defaults(func=cmd_knn)
-    _add_common(p)
 
-    p = subs.add_parser("audit", help="collision report for one hash function and size")
+    p = subs.add_parser("audit", parents=[common],
+                        help="collision report for one hash function and size")
     p.add_argument("--hash", required=True, choices=("auto",) + HASH_FUNCTIONS)
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--no-pairs", action="store_true",
                    help="omit colliding-pair graph blocks from the report")
     p.set_defaults(func=cmd_audit)
-    _add_common(p)
 
-    p = subs.add_parser("rho", help="mutual rank-agreement score between rankings")
+    p = subs.add_parser("rho", parents=[common],
+                        help="mutual rank-agreement score between rankings")
     p.add_argument("--system-ranks", required=True)
     p.add_argument("--truth-ranks", required=True)
     p.set_defaults(func=cmd_rho)
-    _add_common(p)
 
     return parser
 

@@ -21,7 +21,7 @@ from graphlets.audit import audit_code
 from graphlets.hashing import degree_values
 
 from oracles import check_graphlet, isomorphic_by_permutation
-from synth import permute_graphlet, random_graphlet
+from synth import EDGE_ALPHABET, NODE_ALPHABET, permute_graphlet, random_graphlet
 
 TRIANGLE = Graphlet(3, ((0, 1), (0, 2), (1, 2)))
 PATH3 = Graphlet(4, ((0, 1), (1, 2), (2, 3)))
@@ -87,6 +87,17 @@ def _shuffled(g, rng, nodes):
     return Graphlet(g.n_nodes, g.edges, g.node_labels, tuple(labels))
 
 
+def _one_label_changed(g, rng, nodes):
+    """g with one node label (nodes) or one edge label swapped for another."""
+    labels = list(g.node_labels if nodes else g.edge_labels)
+    i = rng.randrange(len(labels))
+    alphabet = NODE_ALPHABET if nodes else EDGE_ALPHABET
+    labels[i] = next(a for a in alphabet if a != labels[i])
+    if nodes:
+        return Graphlet(g.n_nodes, g.edges, tuple(labels), g.edge_labels)
+    return Graphlet(g.n_nodes, g.edges, g.node_labels, tuple(labels))
+
+
 def _union(g, h):
     """Disjoint union of two unlabelled graphlets, h's nodes after g's."""
     shifted = tuple((u + g.n_nodes, v + g.n_nodes) for u, v in h.edges)
@@ -94,7 +105,7 @@ def _union(g, h):
 
 
 def test_oracle_equals_permutation_search_on_small_graphlets():
-    rng = random.Random(43)
+    rng, flip = random.Random(43), random.Random(44)
     pairs = []
     for trial in range(200):
         labeled = trial % 2 == 0
@@ -105,6 +116,9 @@ def test_oracle_equals_permutation_search_on_small_graphlets():
         if labeled:  # same structure and label multisets, maybe moved labels
             pairs.append((g, _shuffled(h, rng, nodes=True)))
             pairs.append((g, _shuffled(h, rng, nodes=False)))
+            # same structure, label multisets differ by one node or one edge
+            pairs.append((g, _one_label_changed(h, flip, nodes=True)))
+            pairs.append((g, _one_label_changed(h, flip, nodes=False)))
     # distinct classes with equal degree sequences, plain and labelled alike
     for t in range(1, 7):
         for a, b in combinations(enumerate_connected(t), 2):
