@@ -13,11 +13,13 @@ by :mod:`graphlets.hashing` key on the exact vectors plus label
 signatures and are at least as fine, so their real collision rate is
 bounded by the reported one.
 
-Enumeration dedupes each size's children against the kept
-representatives of their signature bucket. One enumeration call builds
-one oracle profile per graphlet (labelled adjacency, node signatures and
-the search's placement order) and drops them all when it returns;
-``is_isomorphic`` runs the same search on two fresh profiles.
+Enumeration builds a parent's children once per orbit of the parent's
+automorphisms that the search finds (children in one orbit are
+isomorphic) and dedupes them against the kept representatives of their
+signature bucket. One enumeration call builds one oracle profile per
+graphlet (labelled adjacency, node signatures and the search's placement
+order) and drops them all when it returns; ``is_isomorphic`` runs the
+same search on two fresh profiles.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import NamedTuple
 
-from .graphs import Graph, Graphlet, serialize_graph
+from .graphs import Graph, Graphlet, edge_key, serialize_graph
 from .hashing import measure_values, resolve_hash_function
 
 MAX_ORACLE_NODES = 12
@@ -49,35 +51,45 @@ def _profile(g: Graphlet) -> _Profile:
     adj: list[dict[int, str | None]] = [{} for _ in range(n)]
     for (u, v), label in zip(g.edges, g.edge_labels or (None,) * g.n_edges):
         adj[u][v] = adj[v][u] = label
+    deg = [len(a) for a in adj]
     labels = g.node_labels or ("",) * n
-    sig = [(len(a), labels[u], tuple(sorted(len(adj[w]) for w in a)))
+    sig = [(deg[u], labels[u], tuple(sorted(deg[w] for w in a)))
            for u, a in enumerate(adj)]
     by_sig: dict[tuple, list[int]] = {}
     for u, s in enumerate(sig):
         by_sig.setdefault(s, []).append(u)
-    # Breadth-first from a maximum-degree node, so each node of its
-    # component (after the first) touches a node placed before it.
-    order = [max(range(n), key=lambda u: len(adj[u]))]  # max keeps the lowest of ties
+    # Breadth-first from the lowest maximum-degree node, so each node of
+    # its component (after the first) touches a node placed before it.
+    order = [deg.index(max(deg))] if n else []
+    placed = [u in order for u in range(n)]
     for u in order:
-        order.extend(w for w in adj[u] if w not in order)
-    order.extend(u for u in range(n) if u not in order)
+        for w in adj[u]:
+            if not placed[w]:
+                placed[w] = True
+                order.append(w)
+    order.extend(u for u in range(n) if not placed[u])
     return _Profile(adj, sig, by_sig, order)
 
 
-def _same_class(p1: _Profile, p2: _Profile) -> bool:
+def _same_class(p1: _Profile, p2: _Profile,
+                pin: tuple[int, int] | None = None) -> list[int] | None:
     """Backtracking search for a signature-preserving node mapping of
-    p1's graphlet onto p2's that keeps adjacency and edge labels.
-    The caller has checked sizes and the sorted signatures."""
+    p1's graphlet onto p2's that keeps adjacency and edge labels (and
+    sends x to y if ``pin = (x, y)``); the mapping, or None if there is
+    none. The caller has checked sizes and the sorted signatures."""
     adj1, adj2, order = p1.adj, p2.adj, p1.order
     n = len(order)
     mapping = [-1] * n
     used = [False] * n
+    cands = [p2.by_sig[s] for s in p1.sig]
+    if pin:
+        cands[pin[0]] = [pin[1]] if pin[1] in cands[pin[0]] else []
 
     def extend(i: int) -> bool:
         if i == n:
             return True
         x = order[i]
-        for y in p2.by_sig[p1.sig[x]]:
+        for y in cands[x]:
             if used[y]:
                 continue
             for p in order[:i]:  # a non-edge reads 0, unequal to every label and to None
@@ -91,7 +103,7 @@ def _same_class(p1: _Profile, p2: _Profile) -> bool:
                 used[y] = False
         return False
 
-    return extend(0)
+    return mapping if extend(0) else None
 
 
 def is_isomorphic(g1: Graphlet, g2: Graphlet) -> bool:
@@ -107,20 +119,43 @@ def is_isomorphic(g1: Graphlet, g2: Graphlet) -> bool:
     p1, p2 = _profile(g1), _profile(g2)
     if sorted(p1.sig) != sorted(p2.sig):
         return False
-    return _same_class(p1, p2)
+    return _same_class(p1, p2) is not None
 
 
 def _extensions(g: Graphlet) -> list[Graphlet]:
-    present = set(g.edges)
+    """g plus one edge: each non-edge (u, v) in index order, then each
+    new leaf (u, n). Children in the same orbit of the automorphisms of
+    g that the search finds are isomorphic and are built once, as the
+    first of their orbit. Every dropped child has an isomorphic sibling
+    earlier in the list, so the first child of every class is kept."""
+    n, present, p = g.n_nodes, set(g.edges), _profile(g)
+    orbit = list(range(n))  # node -> lowest node known to share its orbit
+    autos = []  # automorphisms found, extended to fix the new node n
+    for x in range(n):
+        for y in p.by_sig[p.sig[x]]:
+            if y <= x or orbit[y] == orbit[x]:
+                continue
+            m = _same_class(p, p, (x, y))
+            if m is None:
+                continue
+            autos.append(m + [n])
+            for u in range(n):  # merge the orbits of u and m[u]
+                lo, hi = sorted((orbit[u], orbit[m[u]]))
+                orbit = [lo if o == hi else o for o in orbit]
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in present]
+    pairs += [(u, n) for u in range(n)]
+    seen: set[tuple[int, int]] = set()
     out = []
-    for u in range(g.n_nodes):
-        for v in range(u + 1, g.n_nodes):
-            if (u, v) not in present:
-                out.append(
-                    Graphlet(g.n_nodes, tuple(sorted(present | {(u, v)})))
-                )
-    for u in range(g.n_nodes):
-        out.append(Graphlet(g.n_nodes + 1, tuple(sorted(present | {(u, g.n_nodes)}))))
+    for pair in pairs:
+        if pair in seen:
+            continue
+        out.append(Graphlet(n + (pair[1] == n), tuple(sorted(present | {pair}))))
+        stack = [pair]
+        while stack:  # mark pair's orbit
+            u, v = stack.pop()
+            if (u, v) not in seen:
+                seen.add((u, v))
+                stack.extend(edge_key(m[u], m[v]) for m in autos)
     return out
 
 
@@ -139,7 +174,7 @@ def enumerate_connected(n_edges: int) -> tuple[Graphlet, ...]:
         for child in _extensions(parent):
             p = _profile(child)
             bucket = buckets.setdefault(tuple(sorted(p.sig)), [])
-            if any(_same_class(p, seen) for seen in bucket):
+            if any(_same_class(p, seen) is not None for seen in bucket):
                 continue
             bucket.append(p)
             reps.append(child)

@@ -4,9 +4,9 @@ Most of these deliberately avoid the algorithms used by the package
 (BFS path counting, degeneracy peeling, walk simulation) so that
 expected values in tests come from an independent route. The last
 ones are the package's former straightforward implementations of
-betweenness, the walk sampler, k-NN neighbor ranking and the one-pair
-kernel, kept as references that the faster replacements must match
-exactly.
+betweenness, the walk sampler, k-NN neighbor ranking, the one-pair
+kernel and the audit's extension step, kept as references that the
+faster replacements must match exactly.
 """
 
 import math
@@ -69,13 +69,13 @@ def check_graphlet(g):
     return g
 
 
-def isomorphic_by_permutation(g1, g2):
-    """Isomorphism by trying every bijection of g1's nodes onto g2's,
-    requiring equal node labels and every edge of g1 to map onto an
-    edge of g2 with the same label."""
+def isomorphisms_by_permutation(g1, g2):
+    """Every bijection of g1's nodes onto g2's (as a tuple, node of g1 ->
+    node of g2) that keeps node labels and maps every edge of g1 onto an
+    edge of g2 with the same label, found by trying them all."""
     n = g1.n_nodes
     if n != g2.n_nodes or len(g1.edges) != len(g2.edges):
-        return False
+        return
     nl1 = g1.node_labels or (None,) * n
     nl2 = g2.node_labels or (None,) * n
     el1 = list(zip(g1.edges, g1.edge_labels or (None,) * len(g1.edges)))
@@ -85,8 +85,12 @@ def isomorphic_by_permutation(g1, g2):
             edge_key(perm[u], perm[v]) in el2 and el2[edge_key(perm[u], perm[v])] == lbl
             for (u, v), lbl in el1
         ):
-            return True
-    return False
+            yield perm
+
+
+def isomorphic_by_permutation(g1, g2):
+    """Isomorphism by trying every bijection of g1's nodes onto g2's."""
+    return next(isomorphisms_by_permutation(g1, g2), None) is not None
 
 
 def _all_simple_paths(adj, s, t):
@@ -347,3 +351,19 @@ def kernel_value(x, y, spec):
     if nx == 0 or ny == 0:
         return 0.0
     return sum(a * b for a, b in zip(x, y)) / (nx * ny)
+
+
+def single_edge_extensions(g):
+    """Every graphlet g plus one edge, in enumeration order: each
+    non-edge (u, v) in index order, then each new leaf (u, n). The
+    package's former unpruned extension step, kept as the reference its
+    orbit pruning must be a subsequence of."""
+    present = set(g.edges)
+    out = []
+    for u in range(g.n_nodes):
+        for v in range(u + 1, g.n_nodes):
+            if (u, v) not in present:
+                out.append(Graphlet(g.n_nodes, tuple(sorted(present | {(u, v)}))))
+    for u in range(g.n_nodes):
+        out.append(Graphlet(g.n_nodes + 1, tuple(sorted(present | {(u, g.n_nodes)}))))
+    return out

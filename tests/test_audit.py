@@ -17,10 +17,16 @@ from graphlets import (
     resolve_hash_function,
     write_report,
 )
-from graphlets.audit import audit_code
+from graphlets.audit import _extensions, _profile, _same_class, audit_code
+from graphlets.graphs import edge_key
 from graphlets.hashing import degree_values
 
-from oracles import check_graphlet, isomorphic_by_permutation
+from oracles import (
+    check_graphlet,
+    isomorphic_by_permutation,
+    isomorphisms_by_permutation,
+    single_edge_extensions,
+)
 from synth import EDGE_ALPHABET, NODE_ALPHABET, permute_graphlet, random_graphlet
 
 TRIANGLE = Graphlet(3, ((0, 1), (0, 2), (1, 2)))
@@ -132,6 +138,8 @@ def test_oracle_equals_permutation_search_on_small_graphlets():
         a = _union(random_graphlet(rng, max_edges=2), random_graphlet(rng, max_edges=2))
         b = _union(random_graphlet(rng, max_edges=2), random_graphlet(rng, max_edges=2))
         pairs += [(a, permute_graphlet(a, rng)), (a, b)]
+    # the empty graphlet is isomorphic to itself only
+    pairs += [(Graphlet(0, ()), Graphlet(0, ())), (Graphlet(0, ()), Graphlet(1, ()))]
     outcomes = Counter()
     for a, b in pairs:
         expected = isomorphic_by_permutation(a, b)
@@ -139,6 +147,46 @@ def test_oracle_equals_permutation_search_on_small_graphlets():
         assert is_isomorphic(b, a) == expected, (b, a)
         outcomes[expected] += 1
     assert outcomes[True] >= 250 and outcomes[False] >= 250, outcomes
+
+
+def test_pinned_search_equals_permutation_automorphisms():
+    rng = random.Random(47)
+    outcomes = Counter()
+    for trial in range(60):
+        g = random_graphlet(rng, max_edges=6, labeled=trial % 2 == 0)
+        autos = list(isomorphisms_by_permutation(g, g))
+        p = _profile(g)
+        node_labels = g.node_labels or ("",) * g.n_nodes
+        labelled_edges = set(zip(g.edges, g.edge_labels or (None,) * g.n_edges))
+        for x in range(g.n_nodes):
+            for y in range(g.n_nodes):
+                mapping = _same_class(p, p, (x, y))
+                expected = any(a[x] == y for a in autos)
+                assert (mapping is not None) == expected, (g, x, y)
+                outcomes[expected, x == y] += 1
+                if mapping is None:
+                    continue
+                assert mapping[x] == y
+                assert {(edge_key(mapping[u], mapping[v]), lbl)
+                        for (u, v), lbl in labelled_edges} == labelled_edges
+                assert [node_labels[mapping[u]] for u in range(g.n_nodes)] == list(node_labels)
+    assert outcomes[True, False] >= 100 and outcomes[False, False] >= 100, outcomes
+
+
+def test_extensions_drop_only_children_with_an_earlier_isomorphic_sibling():
+    dropped = 0
+    for t in range(1, 8):
+        for parent in enumerate_connected(t):
+            kept = _extensions(parent)
+            earlier = []
+            for child in single_edge_extensions(parent):
+                if len(earlier) < len(kept) and child == kept[len(earlier)]:
+                    earlier.append(child)
+                else:
+                    assert any(is_isomorphic(child, k) for k in earlier), (parent, child)
+                    dropped += 1
+            assert earlier == kept, parent  # kept is a subsequence, in order
+    assert dropped > 0
 
 
 def test_oracle_respects_labels():
