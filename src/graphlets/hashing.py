@@ -7,7 +7,11 @@ as exact rationals so codes never depend on float formatting. Labelled
 graphlets additionally carry node/edge label signatures ordered by the
 measure-sorted node ranking. A code reads only a ``Graphlet``'s node
 count, local edges and labels, so sampled and enumerated graphlets hash
-alike, and codes are cached on the (function, graphlet) pair.
+alike, and codes are cached on the (function, graphlet) pair. On a
+cache miss, betweenness is computed as integer numerators over one
+common denominator and printed without building ``Fraction``s, and a
+labelled graphlet takes its measure vector from a cache keyed on its
+unlabelled topology.
 
 ``hash_code`` returns the code as its key string, which is also the
 vocabulary entry and so the histogram bin:
@@ -92,6 +96,16 @@ def clustering_values(g: Graphlet) -> list[Fraction]:
 def betweenness_values(g: Graphlet) -> list[Fraction]:
     """Per-node betweenness centrality as exact rationals.
 
+    See ``_betweenness_numerators``, whose integers these are over one
+    common denominator.
+    """
+    num, den = _betweenness_numerators(g)
+    return [Fraction(x, den) for x in num]
+
+
+def _betweenness_numerators(g: Graphlet) -> tuple[list[int], int]:
+    """Per-node betweenness as (numerators, one common denominator).
+
     Sum over ordered node pairs (s, t), s != t, excluding the node
     itself, of sigma_st(v) / sigma_st, where sigma counts shortest
     paths. Computed by Brandes' dependency accumulation in integers:
@@ -131,7 +145,7 @@ def betweenness_values(g: Graphlet) -> list[Fraction]:
         scale = den // lcm
         for v in range(n):
             num[v] += deps[v] * scale
-    return [Fraction(x, den) for x in num]
+    return num, den
 
 
 _VALUE_FUNCTIONS = {
@@ -147,15 +161,41 @@ def measure_values(g: Graphlet, fn: str) -> list:
     return _VALUE_FUNCTIONS[fn](g)
 
 
+def _ratio(num: int, den: int) -> str:
+    """``str(Fraction(num, den))`` for num >= 0, den > 0, without the Fraction."""
+    d = math.gcd(num, den)
+    return str(num // d) if d == den else f"{num // d}/{den // d}"
+
+
+def _measure_key(fn: str, g: Graphlet) -> tuple[tuple, str]:
+    """Per-node sort keys in node order, and the sorted vector as a code prints it.
+
+    Betweenness keys are the integer numerators over one common
+    denominator, so they sort and tie as the exact values do.
+    """
+    if fn == "betweenness":
+        num, den = _betweenness_numerators(g)
+        return tuple(num), ",".join([_ratio(x, den) for x in sorted(num)])
+    values = measure_values(g, fn)
+    return tuple(values), ",".join(map(str, sorted(values)))
+
+
+# The labelled graphlets of one topology share its measure vector.
+_topology_key = lru_cache(maxsize=1 << 16)(_measure_key)
+
+
 @lru_cache(maxsize=1 << 18)
 def _hash_code_cached(fn: str, g: Graphlet) -> str:
     for label in (g.node_labels or ()) + (g.edge_labels or ()):
         _check_label(label)
-    values = measure_values(g, fn)
-    topo_key = ",".join(map(str, sorted(values)))
+    labelled = g.node_labels is not None or g.edge_labels is not None
+    if labelled:
+        values, topo_key = _topology_key(fn, Graphlet(g.n_nodes, g.edges))
+    else:
+        values, topo_key = _measure_key(fn, g)
 
     node_label_key = edge_label_key = ""
-    if g.node_labels is not None or g.edge_labels is not None:
+    if labelled:
         # Nodes are ordered by (measure value, node label); nodes that tie
         # on both are interchangeable, so edge signatures use the rank of
         # the (value, label) class rather than of the individual node,

@@ -4,10 +4,20 @@ Each run performs a walk of up to ``max_edges`` steps over a graph:
 starting from a uniformly chosen node, every step adds exactly one new
 edge incident to the already-visited node set. The graphlet after step
 k is the walk's first k edges, re-indexed to local nodes in visiting
-order, so a run yields one connected graphlet per edge count 1..t_end.
-The sampler keeps the local edges sorted as the walk grows and records
-each step as a ``Graphlet`` (node count, sorted local edges, labels);
+order, so a run yields one connected graphlet per edge count 1..t_end;
 the walk's visiting order maps local nodes back to the parent graph.
+
+The walk is one loop over a per-process transition table. A state is
+the local topology so far, an unlabelled ``Graphlet`` numbered on first
+sight; the table maps (state, local edge) to the next state and the
+position of that edge among the next state's sorted edges, and builds a
+new state only on a miss. A run returns its visiting order and its
+state path; labels are laid onto the path afterwards, node labels from
+the visiting order and edge labels inserted at each step's position.
+The table is cleared at a run boundary once it holds ``TABLE_CAP``
+transitions, and state numbers are never reused, so a cache keyed on
+them never goes stale.
+
 Runs are mutually independent and fully reproducible: the random stream
 of a run is derived only from (seed, graph id, run index), so results
 never depend on scheduling or thread count.
@@ -16,12 +26,14 @@ never depend on scheduling or thread count.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
+from typing import Iterator
 
-from .graphs import Graph, Graphlet, edge_key
+from .graphs import Graph, Graphlet
 
 # Non-isomorphic connected simple graphs with 1..10 edges (OEIS A002905).
 CONNECTED_GRAPH_COUNTS = (1, 1, 3, 5, 12, 30, 79, 227, 710, 2322)
@@ -97,15 +109,54 @@ class RunTrace:
     dead_end: bool
 
 
+def run_seed(seed: int, graph_id: str, run_index: int) -> int:
+    """Seed of one run's stream, derived from (seed, graph id, run index)."""
+    key = f"{seed}\x1f{graph_id}\x1f{run_index}".encode("utf-8")
+    return int.from_bytes(hashlib.blake2b(key, digest_size=8).digest(), "big")
+
+
 def run_rng(seed: int, graph_id: str, run_index: int) -> random.Random:
     """Stable per-run generator derived from (seed, graph id, run index)."""
-    key = f"{seed}\x1f{graph_id}\x1f{run_index}".encode("utf-8")
-    digest = hashlib.blake2b(key, digest_size=8).digest()
-    return random.Random(int.from_bytes(digest, "big"))
+    return random.Random(run_seed(seed, graph_id, run_index))
 
 
-def sample_run(graph: Graph, params: SamplerParams, run_index: int) -> RunTrace:
-    """Execute one walk and return its per-size graphlets.
+def _below(getrandbits, n: int) -> int:
+    """A uniform draw from range(n), made as ``Random.randrange(n)`` makes it."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
+# A walk state: (its number, the position among its sorted edges of the
+# local edge that entered it, its local topology).
+State = tuple[int, int, Graphlet]
+
+TABLE_CAP = 1 << 15  # transitions kept; past it the table is cleared at a run boundary
+_START: State = (0, 0, Graphlet(1, ()))  # one node, no edge; never cleared
+_NUMBERS = itertools.count(1)
+_STATES: dict[Graphlet, int] = {}  # local topology -> state number
+_TABLE: dict[tuple[int, int, int], State] = {}  # (number, lu, lv) -> next state
+
+
+def _add_state(state: State, lu: int, lv: int) -> State:
+    """Table miss: build the state that adds local edge (lu, lv), lu < lv."""
+    prev, _, g = state
+    e = (lu, lv)
+    pos = bisect_left(g.edges, e)
+    nxt = Graphlet(max(g.n_nodes, lv + 1), g.edges[:pos] + (e,) + g.edges[pos:])
+    number = _STATES.get(nxt)
+    if number is None:
+        number = _STATES[nxt] = next(_NUMBERS)
+    _TABLE[prev, lu, lv] = out = (number, pos, nxt)
+    return out
+
+
+def _walk(
+    graph: Graph, params: SamplerParams, rng: random.Random
+) -> tuple[list[int], list[State]]:
+    """One walk drawn from ``rng``: (visiting order, the state after each step).
 
     At each step the eligible set holds every visited node that still
     has an unvisited incident edge, in visiting order. With probability
@@ -113,17 +164,20 @@ def sample_run(graph: Graph, params: SamplerParams, run_index: int) -> RunTrace:
     eligible); otherwise a node is drawn uniformly from the eligible
     set. The next edge is drawn uniformly among that node's unvisited
     incident edges, in adjacency order. The walk stops early when the
-    eligible set empties.
+    eligible set empties. The bounded draws are ``_below``'s, written
+    out in the loop: the same stream as ``randrange``, without its
+    wrapper's cost.
     """
-    if graph.n_edges == 0:
-        raise ValueError(f"graph {graph.id!r} has no edges; cannot sample graphlets")
-    if run_index < 0:
-        raise ValueError("run_index must be nonnegative")
-    rng = run_rng(params.seed, graph.id, run_index)
+    if len(_TABLE) > TABLE_CAP:
+        _TABLE.clear()
+        _STATES.clear()
+    table = _TABLE
     adj = graph.adjacency
-    node_labels = graph.node_labels
+    getrandbits = rng.getrandbits
+    draw = rng.random
+    alpha = params.alpha
 
-    start = rng.randrange(graph.n_nodes)
+    start = _below(getrandbits, graph.n_nodes)
     order = [start]
     local = {start: 0}
     # Neighbours across the still unvisited edges of each visited node,
@@ -131,30 +185,37 @@ def sample_run(graph: Graph, params: SamplerParams, run_index: int) -> RunTrace:
     # visiting order: the two lists the random draws index into.
     unvisited = {start: list(adj[start])}
     eligible = [start] if adj[start] else []
-    loc_nodes = [node_labels[start]] if node_labels is not None else None
-    loc_edges: list[tuple[int, int]] = []  # kept sorted
-    loc_edge_labels: list[str] | None = [] if graph.edge_labels is not None else None
     frontier = start
-    graphlets: list[Graphlet] = []
+    state = _START
+    path: list[State] = []
 
     for _ in range(params.max_edges):
         if not eligible:
             break
-        if unvisited[frontier] and rng.random() < params.alpha:
+        if unvisited[frontier] and draw() < alpha:
             u = frontier
         else:
-            u = eligible[rng.randrange(len(eligible))]
+            n = len(eligible)
+            k = n.bit_length()
+            i = getrandbits(k)
+            while i >= n:
+                i = getrandbits(k)
+            u = eligible[i]
         candidates = unvisited[u]
-        v = candidates[rng.randrange(len(candidates))]
+        n = len(candidates)
+        k = n.bit_length()
+        i = getrandbits(k)
+        while i >= n:
+            i = getrandbits(k)
+        v = candidates.pop(i)
 
-        if v not in local:
-            local[v] = len(order)
+        lu = local[u]
+        lv = local.get(v)
+        if lv is None:
+            lv = local[v] = len(order)
             order.append(v)
             unvisited[v] = list(adj[v])
             eligible.append(v)
-            if loc_nodes is not None:
-                loc_nodes.append(node_labels[v])  # type: ignore[index]
-        candidates.remove(v)
         unvisited[v].remove(u)
         if not candidates:
             eligible.remove(u)
@@ -162,19 +223,73 @@ def sample_run(graph: Graph, params: SamplerParams, run_index: int) -> RunTrace:
             eligible.remove(v)
         frontier = v
 
-        e = edge_key(local[u], local[v])
-        i = bisect_left(loc_edges, e)
-        loc_edges.insert(i, e)
-        if loc_edge_labels is not None:
-            loc_edge_labels.insert(i, graph.edge_label(u, v))  # type: ignore[arg-type]
-        graphlets.append(Graphlet(
-            len(order),
-            tuple(loc_edges),
-            tuple(loc_nodes) if loc_nodes is not None else None,
-            tuple(loc_edge_labels) if loc_edge_labels is not None else None,
-        ))
+        if lu > lv:
+            lu, lv = lv, lu
+        state = table.get((state[0], lu, lv)) or _add_state(state, lu, lv)
+        path.append(state)
+    return order, path
 
-    return RunTrace(tuple(order), tuple(graphlets), len(graphlets) < params.max_edges)
+
+def _check_walkable(graph: Graph, run_index: int) -> None:
+    if graph.n_edges == 0:
+        raise ValueError(f"graph {graph.id!r} has no edges; cannot sample graphlets")
+    if run_index < 0:
+        raise ValueError("run_index must be nonnegative")
+
+
+def walks(
+    graph: Graph, params: SamplerParams, run_offset: int = 0
+) -> Iterator[tuple[list[int], list[State]]]:
+    """(visiting order, state path) of each run, in run-index order.
+
+    One generator is reseeded per run; ``Random(x)`` and ``seed(x)``
+    give the same stream, so each run draws what ``run_rng`` would.
+    """
+    _check_walkable(graph, run_offset)
+    rng = random.Random()
+    for run_index in range(run_offset, run_offset + params.runs):
+        rng.seed(run_seed(params.seed, graph.id, run_index))
+        yield _walk(graph, params, rng)
+
+
+def labelled_graphlets(graph: Graph, order: list[int], path: list[State]) -> list[Graphlet]:
+    """The run's graphlets carrying the graph's labels, one per step.
+
+    Node labels follow the visiting order; each step's edge label is
+    inserted at the position its local edge took among the sorted
+    edges. An unlabelled graph's graphlets are the states themselves.
+    """
+    node_labels, edge_labels = graph.node_labels, graph.edge_labels
+    if node_labels is None and edge_labels is None:
+        return [g for _, _, g in path]
+    nodes = tuple(node_labels[x] for x in order) if node_labels is not None else None
+    edges: list[str] = []
+    out = []
+    for _, pos, g in path:
+        if edge_labels is not None:
+            a, b = g.edges[pos]
+            edges.insert(pos, graph.edge_label(order[a], order[b]))  # type: ignore[arg-type]
+        out.append(Graphlet(
+            g.n_nodes,
+            g.edges,
+            nodes[: g.n_nodes] if nodes is not None else None,
+            tuple(edges) if edge_labels is not None else None,
+        ))
+    return out
+
+
+def _trace(
+    graph: Graph, params: SamplerParams, order: list[int], path: list[State]
+) -> RunTrace:
+    graphlets = tuple(labelled_graphlets(graph, order, path))
+    return RunTrace(tuple(order), graphlets, len(path) < params.max_edges)
+
+
+def sample_run(graph: Graph, params: SamplerParams, run_index: int) -> RunTrace:
+    """Execute one walk (see ``_walk``) and return its per-size graphlets."""
+    _check_walkable(graph, run_index)
+    order, path = _walk(graph, params, run_rng(params.seed, graph.id, run_index))
+    return _trace(graph, params, order, path)
 
 
 def sample_all(graph: Graph, params: SamplerParams, run_offset: int = 0) -> list[RunTrace]:
@@ -184,6 +299,5 @@ def sample_all(graph: Graph, params: SamplerParams, run_offset: int = 0) -> list
     streams), which lets callers schedule several independent batches
     against the same (seed, graph) without reusing randomness.
     """
-    return [
-        sample_run(graph, params, run_offset + i) for i in range(params.runs)
-    ]
+    return [_trace(graph, params, order, path)
+            for order, path in walks(graph, params, run_offset)]

@@ -4,9 +4,10 @@ Most of these deliberately avoid the algorithms used by the package
 (BFS path counting, degeneracy peeling, walk simulation) so that
 expected values in tests come from an independent route. The last
 ones are the package's former straightforward implementations of
-betweenness, the walk sampler, k-NN neighbor ranking, the one-pair
-kernel and the audit's extension step, kept as references that the
-faster replacements must match exactly.
+betweenness, the walk sampler, the code key built from ``Fraction``
+values, k-NN neighbor ranking, the one-pair kernel and the audit's
+extension step, kept as references that the faster replacements must
+match exactly.
 """
 
 import math
@@ -15,6 +16,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 from graphlets.graphs import Graphlet, edge_key
+from graphlets.hashing import measure_values
 from graphlets.sampling import run_rng
 
 
@@ -308,6 +310,28 @@ def reference_sample_run(graph, params, run_index):
         frontier = v
         snaps.append(_snapshot(graph, order, local, walk_edges))
     return tuple(order), tuple(snaps), len(snaps) < params.max_edges
+
+
+def reference_code_key(g, fn):
+    """The package's former code key of a graphlet under a resolved hash
+    function: the exact values (``Fraction`` for betweenness and
+    clustering) sorted and printed with ``str``, labelled nodes ordered
+    by (value, label) and edge labels by the ranks of those classes."""
+    values = measure_values(g, fn)
+    topo_key = ",".join(map(str, sorted(values)))
+    node_label_key = edge_label_key = ""
+    if g.node_labels is not None or g.edge_labels is not None:
+        keys = list(zip(values, g.node_labels or ("",) * g.n_nodes))
+        class_rank = {k: r for r, k in enumerate(sorted(set(keys)))}
+        if g.node_labels is not None:
+            node_label_key = ",".join(lbl for _, lbl in sorted(keys))
+        if g.edge_labels is not None:
+            triples = []
+            for (u, v), lbl in zip(g.edges, g.edge_labels):
+                ru, rv = sorted((class_rank[keys[u]], class_rank[keys[v]]))
+                triples.append((ru, rv, lbl))
+            edge_label_key = ",".join(lbl for _, _, lbl in sorted(triples))
+    return f"{g.n_edges}|{fn}|{topo_key}|{node_label_key}|{edge_label_key}"
 
 
 def reference_neighbor_order(sims, skip):

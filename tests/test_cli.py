@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -11,6 +12,7 @@ from graphlets import save_graphs, save_manifest
 from graphlets import cli
 from graphlets.cli import main, worker_count
 
+import synth
 from synth import random_connected_graph
 
 TRIANGLE_TXT = "t tri\nv 0\nv 1\nv 2\ne 0 1\ne 0 2\ne 1 2\n"
@@ -241,6 +243,43 @@ def test_embed_byte_identical_across_threads(tmp_path, capsys):
             (out / "embeddings.tsv").read_bytes(),
         )
     assert outputs["1"] == outputs["4"]
+    capsys.readouterr()
+
+
+def _embed_digests(tmp_path, name, graphs, entries, args):
+    gpath, mpath, out = (tmp_path / f"{name}.{ext}" for ext in ("graphs", "manifest", "out"))
+    save_graphs(graphs, str(gpath))
+    save_manifest(entries, str(mpath))
+    rc = main(["embed", "--graphs", str(gpath), "--manifest", str(mpath), "--out", str(out)]
+              + args)
+    assert rc == 0
+    return [hashlib.sha256((out / f).read_bytes()).hexdigest()[:16]
+            for f in ("vocabulary.txt", "embeddings.tsv")]
+
+
+def test_embed_bytes_are_pinned(tmp_path, capsys):
+    # sha256 prefixes of vocabulary.txt and embeddings.tsv, recorded from
+    # the sampler that drew through randrange and built a Graphlet per
+    # step: unlabelled two-class, labelled, and per-size budgets.
+    from graphlets import ManifestEntry
+
+    graphs, entries = synth.two_class_dataset(20, random.Random(5))
+    assert _embed_digests(tmp_path, "two", graphs, entries,
+                          ["--T", "7", "--M", "40", "--seed", "5"]) == \
+        ["4d0395dcac159af1", "904448c04da53595"]
+    rng = random.Random(7)
+    graphs = [random_connected_graph(f"l{i}", 12, 6, rng, labeled=True) for i in range(8)]
+    entries = [ManifestEntry(g.id, f"c{i % 2}", "unsplit") for i, g in enumerate(graphs)]
+    assert _embed_digests(tmp_path, "lab", graphs, entries,
+                          ["--T", "6", "--M", "30", "--seed", "7", "--labeled"]) == \
+        ["a77d5efb68014fa8", "34b97d96358ba4f1"]
+    rng = random.Random(9)
+    graphs = [random_connected_graph(f"p{i}", 10, 4, rng) for i in range(8)]
+    entries = [ManifestEntry(g.id, f"c{i % 2}", "unsplit") for i, g in enumerate(graphs)]
+    assert _embed_digests(tmp_path, "per", graphs, entries,
+                          ["--T", "5", "--t-min", "2", "--epsilon", "0.3", "--delta", "0.3",
+                           "--per-size-m", "--hash", "clustering", "--seed", "9"]) == \
+        ["358adbfb34482a12", "ba5f4a17b6192198"]
     capsys.readouterr()
 
 

@@ -16,7 +16,7 @@ from graphlets import (
     write_embeddings,
     write_vocabulary,
 )
-from graphlets import embedding
+from graphlets import embedding, sampling
 
 from synth import random_connected_graph
 
@@ -153,22 +153,69 @@ def test_code_keys_carry_resolved_function():
         assert fn == "degree" and 1 <= int(t) <= 3  # auto resolves by size
 
 
-def test_large_budgets_are_sampled_in_chunks(monkeypatch):
-    calls = []
-    sample_all = embedding.sample_all
-
-    def spy(graph, params, run_offset=0):
-        calls.append((run_offset, params.runs))
-        return sample_all(graph, params, run_offset)
-
-    monkeypatch.setattr(embedding, "sample_all", spy)
-    chunk = embedding.CHUNK_RUNS
-    params = SamplerParams(runs=2 * chunk + 7, max_edges=2, seed=3)
-    counts, dead = embed_graph_stats(TRIANGLE, params, "degree", 1, 5)
-    assert calls == [(5, chunk), (5 + chunk, chunk), (5 + 2 * chunk, 7)]
-    # the same run indices, hence the same counts as one walk at a time
+def _reference_counts(graph, params, fn, min_edges=1, run_offset=0):
+    """Per-run sample_run + hash_code: what embed_graph_stats must count."""
     want: Counter[str] = Counter()
+    dead = 0
     for i in range(params.runs):
-        for g in sample_run(TRIANGLE, params, 5 + i).graphlets:
-            want[hash_code(g, "degree")] += 1
-    assert (counts, dead) == (dict(want), 0)
+        trace = sample_run(graph, params, run_offset + i)
+        dead += trace.dead_end
+        for g in trace.graphlets[min_edges - 1 :]:
+            want[hash_code(g, fn)] += 1
+    return dict(want), dead
+
+
+def _fresh_table(monkeypatch):
+    monkeypatch.setattr(sampling, "_TABLE", {})
+    monkeypatch.setattr(sampling, "_STATES", {})
+    monkeypatch.setattr(embedding, "_CODES", {})
+
+
+def test_large_budgets_equal_per_run_reference_across_table_clears(monkeypatch):
+    # A cap of a few transitions clears the table and the code cache at
+    # nearly every run boundary of these embeds; the counts must not
+    # move, and no cache may pass the cap by more than one run's steps.
+    _fresh_table(monkeypatch)
+    cap = 2
+    monkeypatch.setattr(sampling, "TABLE_CAP", cap)
+    monkeypatch.setattr(embedding, "TABLE_CAP", cap)
+    built = []
+    add_state = sampling._add_state
+
+    def counting_add_state(*args):
+        built.append(args)
+        return add_state(*args)
+
+    monkeypatch.setattr(sampling, "_add_state", counting_add_state)
+    wide = random_connected_graph("wide", 14, 6, random.Random(5))
+    for graph, params, fn, offset in (
+        (TRIANGLE, SamplerParams(runs=2 * 1000 + 7, max_edges=2, seed=3), "degree", 5),
+        (wide, SamplerParams(runs=200, max_edges=5, seed=3), "auto", 0),
+    ):
+        built.clear()
+        counts, dead = embed_graph_stats(graph, params, fn, 1, offset)
+        assert len(built) > 100  # the table was rebuilt many times
+        bound = cap + params.max_edges
+        assert len(sampling._TABLE) <= bound and len(sampling._STATES) <= bound
+        assert len(embedding._CODES[fn]) <= bound
+        assert (counts, dead) == _reference_counts(graph, params, fn, 1, offset)
+
+
+def test_transition_table_never_changes_counts(monkeypatch):
+    rng = random.Random(41)
+    target = random_connected_graph("target", 14, 6, rng)
+    others = [random_connected_graph(f"o{i}", 12, 5, rng) for i in range(4)]
+    labelled = random_connected_graph("lab", 12, 5, rng, labeled=True)
+    params = SamplerParams(runs=30, max_edges=6, seed=2)
+    _fresh_table(monkeypatch)
+    fresh = embed_graph_stats(target, params, "auto")
+    assert fresh == _reference_counts(target, params, "auto")
+    for g in others:  # after other graphs
+        embed_graph_stats(g, params, "auto")
+    assert embed_graph_stats(target, params, "auto") == fresh
+    embed_graph_stats(target, params, "core")  # after another hash function
+    assert embed_graph_stats(target, params, "auto") == fresh
+    embed_graph_stats(labelled, params, "auto")  # after labelled inputs
+    assert embed_graph_stats(target, params, "auto") == fresh
+    assert embed_graph_stats(labelled, params, "auto") == \
+        _reference_counts(labelled, params, "auto")

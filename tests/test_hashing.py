@@ -21,6 +21,7 @@ from oracles import (
     betweenness_by_path_enumeration,
     clustering_by_triple_scan,
     core_by_threshold,
+    reference_code_key,
 )
 from synth import permute_graphlet, random_graphlet
 
@@ -113,6 +114,18 @@ def test_format_value():
                     plain = str(v.numerator)
                     assert t == (plain if v.denominator == 1
                                  else f"{plain}/{v.denominator}"), (fn, g.edges)
+
+
+def test_code_keys_equal_the_fraction_path():
+    # Betweenness keys are printed from integer numerators over one
+    # common denominator, and labelled graphlets take their measure
+    # vector from a per-topology cache; both must give the former keys.
+    graphlets = [g for t in range(1, 9) for g in enumerate_connected(t)]
+    rng = random.Random(31)
+    graphlets += [random_graphlet(rng, max_edges=8, labeled=i % 2 == 0) for i in range(500)]
+    for g in graphlets:
+        for fn in HASH_FUNCTIONS:
+            assert hash_code(g, fn) == reference_code_key(g, fn), (fn, g)
 
 
 def test_hash_code_key_grammar():

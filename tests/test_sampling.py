@@ -11,7 +11,7 @@ from graphlets import (
     sample_size,
 )
 from graphlets.graphs import Graph, edge_key
-from graphlets.sampling import run_rng
+from graphlets.sampling import _below, run_rng
 
 from oracles import (
     check_graphlet,
@@ -75,6 +75,16 @@ def test_run_rng_is_a_stable_pure_derivation():
     assert [a.random() for _ in range(5)] == [b.random() for _ in range(5)]
     assert run_rng(7, "g1", 4).random() != run_rng(7, "g1", 3).random()
     assert run_rng(7, "g2", 3).random() != run_rng(7, "g1", 3).random()
+
+
+def test_direct_draw_equals_randrange():
+    # The walk makes its bounded draws without randrange's wrapper; on
+    # this interpreter they must consume the stream exactly as it does.
+    for seed in range(50):
+        ours, ref = random.Random(seed), random.Random(seed)
+        for n in range(1, 301):
+            assert _below(ours.getrandbits, n) == ref.randrange(n), (seed, n)
+            assert ours.random() == ref.random(), (seed, n)
 
 
 def _check_trace_structure(graph, trace, max_edges):
