@@ -91,11 +91,10 @@ def _pmap(fn, jobs, threads: int):
 
 
 def _embed_worker(job):
-    graph, batches, alpha, seed, fn = job
+    graph, batches, fn = job
     counts: dict[str, int] = {}
     dead = 0
-    for runs, max_edges, min_edges, offset in batches:
-        params = SamplerParams(runs=runs, max_edges=max_edges, alpha=alpha, seed=seed)
+    for params, min_edges, offset in batches:
         got, d = embed_graph_stats(graph, params, fn, min_edges, offset)
         for key, c in got.items():
             counts[key] = counts.get(key, 0) + c
@@ -157,6 +156,11 @@ def cmd_embed(args) -> int:
     if args.t_min < 1 or args.t_min > args.T:
         raise UsageError("embed: --t-min must be in 1..T")
     batches = _resolve_budgets(args)
+    try:
+        samplers = [(SamplerParams(runs, max_edges, args.alpha, args.seed), min_edges, offset)
+                    for runs, max_edges, min_edges, offset in batches]
+    except ValueError as exc:
+        raise UsageError(f"embed: {exc}") from None
 
     graphs = load_graphs(args.graphs)
     manifest = load_manifest(args.manifest)
@@ -176,7 +180,7 @@ def cmd_embed(args) -> int:
             raise GraphFormatError(f"graph {g.id!r} has no edges")
         selected.append(g)
 
-    jobs = [(g, batches, args.alpha, args.seed, args.hash) for g in selected]
+    jobs = [(g, samplers, args.hash) for g in selected]
     results = _pmap(_embed_worker, jobs, args.threads)
 
     train_ids = {e.graph_id for e in manifest if e.split == "train"}
@@ -345,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="walks per graph (alternative to --epsilon/--delta)")
     p.add_argument("--epsilon", type=float, default=None)
     p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--a-override", type=int, default=None,
+    p.add_argument("--a-override", type=_positive_int, default=None,
                    help="class count used in place of the built-in table")
     p.add_argument("--per-size-m", action="store_true",
                    help="derive a separate walk budget per graphlet size")

@@ -2,15 +2,15 @@
 
 Every sampled graphlet of a graph is hashed to its code key string; the
 per-graph histogram counts keys. An unlabelled walk's graphlets are the
-sampler's numbered states, so each state is hashed once per process and
-hash function and its code reused for every later visit; labelled
-graphlets are hashed per step, their measure vectors shared per
-topology (see :mod:`graphlets.hashing`). The vocabulary is the sorted
-tuple of all observed keys, so a key's position is its bin index and
-never depends on graph processing order or parallelism. Count vectors
-are then aligned to the vocabulary; keys absent from it (a frozen
-vocabulary applied to new data) are dropped and tallied in an
-``oov_count`` diagnostic rather than raising.
+sampler's walk states, and each state keeps its code per hash function,
+so a topology is hashed once while its state lives and its code reused
+for every later visit; labelled graphlets are hashed per step, their
+measure vectors shared per topology (see :mod:`graphlets.hashing`). The
+vocabulary is the sorted tuple of all observed keys, so a key's
+position is its bin index and never depends on graph processing order
+or parallelism. Count vectors are then aligned to the vocabulary; keys
+absent from it (a frozen vocabulary applied to new data) are dropped
+and tallied in an ``oov_count`` diagnostic rather than raising.
 """
 
 from __future__ import annotations
@@ -22,10 +22,9 @@ from typing import Iterable, Mapping, Sequence
 
 from .graphs import Graph
 from .hashing import hash_code, resolve_hash_function
-from .sampling import TABLE_CAP, SamplerParams, labelled_graphlets, walks
+from .sampling import SamplerParams, labelled_graphlets, walks
 from .sampling import sample_all  # noqa: F401  (not called here; the benchmark wraps the name)
 
-_CODES: dict[str, dict[int, str]] = {}  # hash function -> state number -> code key
 _FLOAT_MAX = sys.float_info.max  # the kernels compute in doubles
 
 
@@ -59,8 +58,8 @@ def embed_graph_stats(
     with at least ``min_edges`` edges are hashed; the map sums to
     runs * (max_edges - min_edges + 1) when no run dead-ends. Only the
     current run's path is held, so memory does not grow with the
-    budget; the per-state code cache is cleared at a run boundary once
-    it passes ``TABLE_CAP`` entries.
+    budget. An unlabelled graphlet's code is read from, or on a miss
+    stored in, its walk state, so it lives and is dropped with the state.
     """
     if not 1 <= min_edges <= params.max_edges:
         raise ValueError(
@@ -68,7 +67,6 @@ def embed_graph_stats(
         )
     resolve_hash_function(fn, min_edges)  # reject an unknown name before sampling
     labelled = graph.node_labels is not None or graph.edge_labels is not None
-    codes = _CODES.setdefault(fn, {})
     counts: Counter[str] = Counter()
     dead_ends = 0
     skip = min_edges - 1
@@ -79,12 +77,10 @@ def embed_graph_stats(
             for g in labelled_graphlets(graph, order, path)[skip:]:
                 counts[hash_code(g, fn)] += 1
             continue
-        if len(codes) > TABLE_CAP:
-            codes.clear()
-        for number, _, g in path[skip:]:
-            code = codes.get(number)
+        for _, (g, _, codes) in path[skip:]:
+            code = codes.get(fn)
             if code is None:
-                code = codes[number] = hash_code(g, fn)
+                code = codes[fn] = hash_code(g, fn)
             counts[code] += 1
     return dict(counts), dead_ends
 

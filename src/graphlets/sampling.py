@@ -7,16 +7,16 @@ k is the walk's first k edges, re-indexed to local nodes in visiting
 order, so a run yields one connected graphlet per edge count 1..t_end;
 the walk's visiting order maps local nodes back to the parent graph.
 
-The walk is one loop over a per-process transition table. A state is
-the local topology so far, an unlabelled ``Graphlet`` numbered on first
-sight; the table maps (state, local edge) to the next state and the
-position of that edge among the next state's sorted edges, and builds a
-new state only on a miss. A run returns its visiting order and its
-state path; labels are laid onto the path afterwards, node labels from
-the visiting order and edge labels inserted at each step's position.
-The table is cleared at a run boundary once it holds ``TABLE_CAP``
-transitions, and state numbers are never reused, so a cache keyed on
-them never goes stale.
+The walk is one loop over per-process walk states. A state is a local
+topology so far (an unlabelled ``Graphlet``), its steps (local edge ->
+the edge's position among the next state's sorted edges, and the next
+state) and its codes (hash function -> code key). A step is one lookup
+in the current state's steps; a state is built only on a miss, and
+states that different walks reach are merged by topology. A run
+returns its visiting order and its (position, state) path; labels are
+laid onto the path afterwards, node labels from the visiting order and
+edge labels inserted at each step's position. All states are dropped
+at a run boundary once there are more than ``STATE_CAP``.
 
 Runs are mutually independent and fully reproducible: the random stream
 of a run is derived only from (seed, graph id, run index), so results
@@ -26,11 +26,10 @@ never depend on scheduling or thread count.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import math
 import random
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator
 
 from .graphs import Graph, Graphlet
@@ -115,11 +114,6 @@ def run_seed(seed: int, graph_id: str, run_index: int) -> int:
     return int.from_bytes(hashlib.blake2b(key, digest_size=8).digest(), "big")
 
 
-def run_rng(seed: int, graph_id: str, run_index: int) -> random.Random:
-    """Stable per-run generator derived from (seed, graph id, run index)."""
-    return random.Random(run_seed(seed, graph_id, run_index))
-
-
 def _below(getrandbits, n: int) -> int:
     """A uniform draw from range(n), made as ``Random.randrange(n)`` makes it."""
     k = n.bit_length()
@@ -129,34 +123,35 @@ def _below(getrandbits, n: int) -> int:
     return r
 
 
-# A walk state: (its number, the position among its sorted edges of the
-# local edge that entered it, its local topology).
-State = tuple[int, int, Graphlet]
-
-TABLE_CAP = 1 << 15  # transitions kept; past it the table is cleared at a run boundary
-_START: State = (0, 0, Graphlet(1, ()))  # one node, no edge; never cleared
-_NUMBERS = itertools.count(1)
-_STATES: dict[Graphlet, int] = {}  # local topology -> state number
-_TABLE: dict[tuple[int, int, int], State] = {}  # (number, lu, lv) -> next state
+STATE_CAP = 1 << 14  # states kept; past it all are dropped at a run boundary
+_ROOT = Graphlet(1, ())  # one node, no edge: where every walk starts
+# Local topology -> its walk state (topology, steps, codes).
+_STATES: dict[Graphlet, tuple[Graphlet, dict, dict]] = {}
 
 
-def _add_state(state: State, lu: int, lv: int) -> State:
-    """Table miss: build the state that adds local edge (lu, lv), lu < lv."""
-    prev, _, g = state
+def _state(g: Graphlet) -> tuple[Graphlet, dict, dict]:
+    """The state of local topology ``g``, made on first sight."""
+    state = _STATES.get(g)
+    if state is None:
+        state = _STATES[g] = (g, {}, {})
+    return state
+
+
+def _add_step(state: tuple, lu: int, lv: int) -> tuple:
+    """Step miss: (position, next state) of adding local edge (lu, lv), lu < lv."""
+    g, steps, _ = state
     e = (lu, lv)
     pos = bisect_left(g.edges, e)
     nxt = Graphlet(max(g.n_nodes, lv + 1), g.edges[:pos] + (e,) + g.edges[pos:])
-    number = _STATES.get(nxt)
-    if number is None:
-        number = _STATES[nxt] = next(_NUMBERS)
-    _TABLE[prev, lu, lv] = out = (number, pos, nxt)
+    steps[e] = out = (pos, _state(nxt))
     return out
 
 
 def _walk(
     graph: Graph, params: SamplerParams, rng: random.Random
-) -> tuple[list[int], list[State]]:
-    """One walk drawn from ``rng``: (visiting order, the state after each step).
+) -> tuple[list[int], list[tuple]]:
+    """One walk drawn from ``rng``: visiting order, and the (position,
+    state) of each step.
 
     At each step the eligible set holds every visited node that still
     has an unvisited incident edge, in visiting order. With probability
@@ -168,10 +163,9 @@ def _walk(
     out in the loop: the same stream as ``randrange``, without its
     wrapper's cost.
     """
-    if len(_TABLE) > TABLE_CAP:
-        _TABLE.clear()
+    if len(_STATES) > STATE_CAP:
         _STATES.clear()
-    table = _TABLE
+    state = _state(_ROOT)
     adj = graph.adjacency
     getrandbits = rng.getrandbits
     draw = rng.random
@@ -186,8 +180,7 @@ def _walk(
     unvisited = {start: list(adj[start])}
     eligible = [start] if adj[start] else []
     frontier = start
-    state = _START
-    path: list[State] = []
+    path: list[tuple] = []
 
     for _ in range(params.max_edges):
         if not eligible:
@@ -225,47 +218,45 @@ def _walk(
 
         if lu > lv:
             lu, lv = lv, lu
-        state = table.get((state[0], lu, lv)) or _add_state(state, lu, lv)
-        path.append(state)
+        step = state[1].get((lu, lv)) or _add_step(state, lu, lv)
+        path.append(step)
+        state = step[1]
     return order, path
-
-
-def _check_walkable(graph: Graph, run_index: int) -> None:
-    if graph.n_edges == 0:
-        raise ValueError(f"graph {graph.id!r} has no edges; cannot sample graphlets")
-    if run_index < 0:
-        raise ValueError("run_index must be nonnegative")
 
 
 def walks(
     graph: Graph, params: SamplerParams, run_offset: int = 0
-) -> Iterator[tuple[list[int], list[State]]]:
-    """(visiting order, state path) of each run, in run-index order.
+) -> Iterator[tuple[list[int], list[tuple]]]:
+    """(visiting order, [(position, state), ...]) of each run, in
+    run-index order.
 
     One generator is reseeded per run; ``Random(x)`` and ``seed(x)``
-    give the same stream, so each run draws what ``run_rng`` would.
+    give the same stream, so each run draws from ``Random(run_seed(...))``.
     """
-    _check_walkable(graph, run_offset)
+    if graph.n_edges == 0:
+        raise ValueError(f"graph {graph.id!r} has no edges; cannot sample graphlets")
+    if run_offset < 0:
+        raise ValueError("run_index must be nonnegative")
     rng = random.Random()
     for run_index in range(run_offset, run_offset + params.runs):
         rng.seed(run_seed(params.seed, graph.id, run_index))
         yield _walk(graph, params, rng)
 
 
-def labelled_graphlets(graph: Graph, order: list[int], path: list[State]) -> list[Graphlet]:
+def labelled_graphlets(graph: Graph, order: list[int], path: list[tuple]) -> list[Graphlet]:
     """The run's graphlets carrying the graph's labels, one per step.
 
     Node labels follow the visiting order; each step's edge label is
     inserted at the position its local edge took among the sorted
-    edges. An unlabelled graph's graphlets are the states themselves.
+    edges. An unlabelled graph's graphlets are the states' own.
     """
     node_labels, edge_labels = graph.node_labels, graph.edge_labels
     if node_labels is None and edge_labels is None:
-        return [g for _, _, g in path]
+        return [state[0] for _, state in path]
     nodes = tuple(node_labels[x] for x in order) if node_labels is not None else None
     edges: list[str] = []
     out = []
-    for _, pos, g in path:
+    for pos, (g, _, _) in path:
         if edge_labels is not None:
             a, b = g.edges[pos]
             edges.insert(pos, graph.edge_label(order[a], order[b]))  # type: ignore[arg-type]
@@ -278,26 +269,18 @@ def labelled_graphlets(graph: Graph, order: list[int], path: list[State]) -> lis
     return out
 
 
-def _trace(
-    graph: Graph, params: SamplerParams, order: list[int], path: list[State]
-) -> RunTrace:
-    graphlets = tuple(labelled_graphlets(graph, order, path))
-    return RunTrace(tuple(order), graphlets, len(path) < params.max_edges)
-
-
-def sample_run(graph: Graph, params: SamplerParams, run_index: int) -> RunTrace:
-    """Execute one walk (see ``_walk``) and return its per-size graphlets."""
-    _check_walkable(graph, run_index)
-    order, path = _walk(graph, params, run_rng(params.seed, graph.id, run_index))
-    return _trace(graph, params, order, path)
-
-
 def sample_all(graph: Graph, params: SamplerParams, run_offset: int = 0) -> list[RunTrace]:
-    """All runs for a graph, in run-index order.
+    """All runs for a graph, in run-index order (see ``_walk``).
 
     ``run_offset`` shifts the run indices (and hence the random
     streams), which lets callers schedule several independent batches
     against the same (seed, graph) without reusing randomness.
     """
-    return [_trace(graph, params, order, path)
+    return [RunTrace(tuple(order), tuple(labelled_graphlets(graph, order, path)),
+                     len(path) < params.max_edges)
             for order, path in walks(graph, params, run_offset)]
+
+
+def sample_run(graph: Graph, params: SamplerParams, run_index: int) -> RunTrace:
+    """The one run with index ``run_index``."""
+    return sample_all(graph, replace(params, runs=1), run_index)[0]

@@ -11,13 +11,14 @@ match exactly.
 """
 
 import math
+import random
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations
 
 from graphlets.graphs import Graphlet, edge_key
 from graphlets.hashing import measure_values
-from graphlets.sampling import run_rng
+from graphlets.sampling import run_seed
 
 
 def flood_fill_components(n_nodes, edges):
@@ -279,7 +280,7 @@ def reference_sample_run(graph, params, run_index):
     into a fresh ``Graphlet`` at each step. Draws from the same per-run
     stream as ``sampling.sample_run``, so the two must agree exactly.
     """
-    rng = run_rng(params.seed, graph.id, run_index)
+    rng = random.Random(run_seed(params.seed, graph.id, run_index))
     adj = graph.adjacency
     start = rng.randrange(graph.n_nodes)
     order = [start]

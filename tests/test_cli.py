@@ -61,6 +61,22 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     for threads in ("0", "-5", "two"):
         assert main(base + ["--M", "5", "--threads", threads]) == 1
         assert "--threads" in capsys.readouterr().err
+    # bad sampler values are usage errors, caught before any input is read
+    out = tmp_path / "out"
+    missing = str(tmp_path / "missing.graphs")
+    budget = ["--epsilon", "0.1", "--delta", "0.1"]
+    for bad, text in ((["--M", "5", "--alpha", "2"], "alpha"),
+                      (["--M", "5", "--alpha", "nan"], "alpha"),
+                      (["--M", "5", "--seed", "-1"], "seed"),
+                      (["--M", "0"], "runs"),
+                      (budget + ["--a-override", "0"], "--a-override"),
+                      (budget + ["--a-override", "-3"], "--a-override")):
+        for graph_file in (graphs, missing):
+            args = ["embed", "--graphs", graph_file, "--manifest", manifest, "--T", "3",
+                    "--out", str(out)] + bad
+            assert main(args) == 1, bad
+            assert text in capsys.readouterr().err
+            assert not out.exists()
     capsys.readouterr()
 
 

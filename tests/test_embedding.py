@@ -12,6 +12,7 @@ from graphlets import (
     hash_code,
     parse_graph_file,
     read_embeddings,
+    sample_all,
     sample_run,
     write_embeddings,
     write_vocabulary,
@@ -166,27 +167,24 @@ def _reference_counts(graph, params, fn, min_edges=1, run_offset=0):
 
 
 def _fresh_table(monkeypatch):
-    monkeypatch.setattr(sampling, "_TABLE", {})
     monkeypatch.setattr(sampling, "_STATES", {})
-    monkeypatch.setattr(embedding, "_CODES", {})
 
 
 def test_large_budgets_equal_per_run_reference_across_table_clears(monkeypatch):
-    # A cap of a few transitions clears the table and the code cache at
-    # nearly every run boundary of these embeds; the counts must not
-    # move, and no cache may pass the cap by more than one run's steps.
+    # A cap of a few states drops every state, with its steps and codes,
+    # at nearly every run boundary of these embeds; the counts must not
+    # move, and the states may pass the cap by at most one run's steps.
     _fresh_table(monkeypatch)
     cap = 2
-    monkeypatch.setattr(sampling, "TABLE_CAP", cap)
-    monkeypatch.setattr(embedding, "TABLE_CAP", cap)
+    monkeypatch.setattr(sampling, "STATE_CAP", cap)
     built = []
-    add_state = sampling._add_state
+    add_step = sampling._add_step
 
-    def counting_add_state(*args):
+    def counting_add_step(*args):
         built.append(args)
-        return add_state(*args)
+        return add_step(*args)
 
-    monkeypatch.setattr(sampling, "_add_state", counting_add_state)
+    monkeypatch.setattr(sampling, "_add_step", counting_add_step)
     wide = random_connected_graph("wide", 14, 6, random.Random(5))
     for graph, params, fn, offset in (
         (TRIANGLE, SamplerParams(runs=2 * 1000 + 7, max_edges=2, seed=3), "degree", 5),
@@ -194,11 +192,37 @@ def test_large_budgets_equal_per_run_reference_across_table_clears(monkeypatch):
     ):
         built.clear()
         counts, dead = embed_graph_stats(graph, params, fn, 1, offset)
-        assert len(built) > 100  # the table was rebuilt many times
-        bound = cap + params.max_edges
-        assert len(sampling._TABLE) <= bound and len(sampling._STATES) <= bound
-        assert len(embedding._CODES[fn]) <= bound
+        assert len(built) > 100  # the states were rebuilt many times
+        assert len(sampling._STATES) <= cap + params.max_edges
         assert (counts, dead) == _reference_counts(graph, params, fn, 1, offset)
+
+
+def test_each_state_is_hashed_once(monkeypatch):
+    # The embed's speed rests on this: an unlabelled topology is hashed
+    # once per hash function while its state lives, however often the
+    # walks meet it.
+    _fresh_table(monkeypatch)
+    calls = []
+    real = embedding.hash_code
+
+    def spy(g, fn):
+        calls.append((g, fn))
+        return real(g, fn)
+
+    monkeypatch.setattr(embedding, "hash_code", spy)
+    g = random_connected_graph("g", 16, 8, random.Random(23))
+    params = SamplerParams(runs=300, max_edges=6, seed=4)
+    min_edges = 3
+    embed_graph_stats(g, params, "auto", min_edges)
+    met = {s for t in sample_all(g, params) for s in t.graphlets[min_edges - 1 :]}
+    assert len(met) > 50
+    assert len(calls) == len(met) and set(calls) == {(s, "auto") for s in met}
+    embed_graph_stats(g, params, "auto", min_edges)  # a second embed of the same graph
+    assert len(calls) == len(met)
+    embed_graph_stats(g, params, "core", min_edges)  # a second hash function
+    assert len(calls) == 2 * len(met)
+    embed_graph_stats(g, params, "core", min_edges)
+    assert len(calls) == 2 * len(met)
 
 
 def test_transition_table_never_changes_counts(monkeypatch):

@@ -11,7 +11,7 @@ from graphlets import (
     sample_size,
 )
 from graphlets.graphs import Graph, edge_key
-from graphlets.sampling import _below, run_rng
+from graphlets.sampling import _below, run_seed
 
 from oracles import (
     check_graphlet,
@@ -70,11 +70,11 @@ def test_fixed_inputs_reproduce_identical_traces():
 
 
 def test_run_rng_is_a_stable_pure_derivation():
-    a = run_rng(7, "g1", 3)
-    b = run_rng(7, "g1", 3)
-    assert [a.random() for _ in range(5)] == [b.random() for _ in range(5)]
-    assert run_rng(7, "g1", 4).random() != run_rng(7, "g1", 3).random()
-    assert run_rng(7, "g2", 3).random() != run_rng(7, "g1", 3).random()
+    # A run draws from Random(run_seed(seed, graph id, run index)); the
+    # seed is a pinned digest of those three values and nothing else.
+    assert run_seed(7, "g1", 3) == run_seed(7, "g1", 3) == 6691655844890566861
+    assert len({run_seed(7, "g1", 3), run_seed(7, "g1", 4),
+                run_seed(7, "g2", 3), run_seed(8, "g1", 3)}) == 4
 
 
 def test_direct_draw_equals_randrange():
