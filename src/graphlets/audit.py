@@ -15,8 +15,13 @@ bounded by the reported one.
 
 Enumeration builds a parent's children once per orbit of the parent's
 automorphisms that the search finds (children in one orbit are
-isomorphic) and dedupes them against the kept representatives of their
-signature bucket. One enumeration call builds one oracle profile per
+isomorphic). A child whose relabelled edge key (its edges after
+renumbering the nodes by signature rank, see ``_profile``) an earlier
+child of the same size already had is isomorphic to that child and is
+dropped at once; equal keys prove isomorphism, so the first child of
+each class is still the one kept. The other children are deduped
+against the kept representatives of their signature bucket. One
+enumeration call keeps the keys and one oracle profile per kept
 graphlet (labelled adjacency, node signatures and the search's placement
 order) and drops them all when it returns; ``is_isomorphic`` runs the
 same search on two fresh profiles.
@@ -41,20 +46,55 @@ class _Profile(NamedTuple):
     """What the isomorphism search reads of one graphlet, built once."""
 
     adj: list[dict[int, str | None]]  # node -> {neighbour: edge label or None}
-    sig: list[tuple]  # per node: degree, label, sorted neighbour degrees
+    sig: list[tuple]  # per node: degree, label, neighbour-degree code
     by_sig: dict[tuple, list[int]]  # signature -> nodes carrying it, ascending
     order: list[int]  # placement order of the search
 
 
-def _profile(g: Graphlet) -> _Profile:
-    n = g.n_nodes
+def _profile(g: Graphlet, seen: set[int] | None = None) -> _Profile | None:
+    """The search's profile of g; with ``seen``, None if g's relabelled
+    edge key is in it (else the key is added).
+
+    A node's signature is (degree, label, code), the code being the sum
+    of ``16 ** degree(w)`` over its neighbours w: a base-16 numeral whose
+    digit d counts the neighbours of degree d. Up to ``MAX_ORACLE_NODES``
+    = 12 nodes, degrees and digits are at most 11, so the code names the
+    multiset of neighbour degrees exactly.
+
+    The key renumbers the nodes 0..n-1 in (code, index) order, the code
+    being an unlabelled node's whole signature, and sets bit
+    ``16 * r_u + r_v`` for each edge (u, v), both ways round. Up to 16
+    nodes this one int fixes the renumbered edge set, and with it the
+    node count of a graphlet with edges: an isolated node's code is 0, so
+    the highest-numbered node has an edge. Two graphlets with one
+    key are then isomorphic whatever the ties in the ranking: a tie only
+    costs a hit. The key ignores labels, so ``seen`` is for unlabelled
+    graphlets. The signatures, adjacency, buckets and placement order
+    are built only on a miss.
+    """
+    n, edges = g.n_nodes, g.edges
+    deg = [0] * n
+    for u, v in edges:
+        deg[u] += 1
+        deg[v] += 1
+    code = [0] * n
+    for u, v in edges:
+        code[u] += 1 << 4 * deg[v]
+        code[v] += 1 << 4 * deg[u]
+    if seen is not None:
+        rank = [0] * n
+        for r, u in enumerate(sorted(range(n), key=code.__getitem__)):
+            rank[u] = r
+        key = 0
+        for u, v in edges:
+            key |= 1 << (rank[u] << 4 | rank[v]) | 1 << (rank[v] << 4 | rank[u])
+        if key in seen:
+            return None
+        seen.add(key)
+    sig = list(zip(deg, g.node_labels or ("",) * n, code))
     adj: list[dict[int, str | None]] = [{} for _ in range(n)]
-    for (u, v), label in zip(g.edges, g.edge_labels or (None,) * g.n_edges):
+    for (u, v), label in zip(edges, g.edge_labels or (None,) * len(edges)):
         adj[u][v] = adj[v][u] = label
-    deg = [len(a) for a in adj]
-    labels = g.node_labels or ("",) * n
-    sig = [(deg[u], labels[u], tuple(sorted(deg[w] for w in a)))
-           for u, a in enumerate(adj)]
     by_sig: dict[tuple, list[int]] = {}
     for u, s in enumerate(sig):
         by_sig.setdefault(s, []).append(u)
@@ -170,11 +210,14 @@ def enumerate_connected(n_edges: int) -> tuple[Graphlet, ...]:
         return (Graphlet(2, ((0, 1),)),)
     reps: list[Graphlet] = []
     buckets: dict[tuple, list[_Profile]] = {}  # sorted signatures -> kept profiles
+    seen: set[int] = set()  # relabelled edge keys of the children so far
     for parent in enumerate_connected(n_edges - 1):
         for child in _extensions(parent):
-            p = _profile(child)
+            p = _profile(child, seen)
+            if p is None:
+                continue
             bucket = buckets.setdefault(tuple(sorted(p.sig)), [])
-            if any(_same_class(p, seen) is not None for seen in bucket):
+            if any(_same_class(p, kept) is not None for kept in bucket):
                 continue
             bucket.append(p)
             reps.append(child)

@@ -31,7 +31,7 @@ from .graphs import (
     load_manifest,
     resolve_manifest,
 )
-from .hashing import HASH_FUNCTIONS
+from .hashing import HASH_FUNCTIONS, clear_caches
 from .kernels import (
     KernelSpec,
     kernel_matrix,
@@ -41,7 +41,7 @@ from .kernels import (
     rho_score,
     write_precomputed_kernel,
 )
-from .sampling import SamplerParams, connected_graph_count, sample_size
+from .sampling import SamplerParams, clear_states, connected_graph_count, sample_size
 
 # Walks per graph in one batch: far above the largest published budget
 # (1,289,987), and low enough that one graph's walks end within hours.
@@ -182,6 +182,9 @@ def cmd_embed(args) -> int:
 
     jobs = [(g, samplers, args.hash) for g in selected]
     results = _pmap(_embed_worker, jobs, args.threads)
+    # Every graph is embedded: the rows below reuse the states' and codes' memory.
+    clear_states()
+    clear_caches()
 
     train_ids = {e.graph_id for e in manifest if e.split == "train"}
     if args.vocab_scope == "all" or not train_ids:

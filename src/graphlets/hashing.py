@@ -7,11 +7,11 @@ as exact rationals so codes never depend on float formatting. Labelled
 graphlets additionally carry node/edge label signatures ordered by the
 measure-sorted node ranking. A code reads only a ``Graphlet``'s node
 count, local edges and labels, so sampled and enumerated graphlets hash
-alike, and codes are cached on the (function, graphlet) pair. On a
-cache miss, betweenness is computed as integer numerators over one
-common denominator and printed without building ``Fraction``s, and a
-labelled graphlet takes its measure vector from a cache keyed on its
-unlabelled topology.
+alike, and codes are cached on the (function, graphlet) pair until
+``clear_caches``. On a cache miss, betweenness is computed as integer
+numerators over one common denominator and printed without building
+``Fraction``s, and a labelled graphlet takes its measure vector from a
+cache keyed on its unlabelled topology.
 
 ``hash_code`` returns the code as its key string, which is also the
 vocabulary entry and so the histogram bin:
@@ -211,6 +211,12 @@ def _hash_code_cached(fn: str, g: Graphlet) -> str:
                 triples.append((ru, rv, lbl))
             edge_label_key = ",".join(lbl for _, _, lbl in sorted(triples))
     return f"{g.n_edges}|{fn}|{topo_key}|{node_label_key}|{edge_label_key}"
+
+
+def clear_caches() -> None:
+    """Drop the cached codes and measure vectors (and their hit counts)."""
+    _hash_code_cached.cache_clear()
+    _topology_key.cache_clear()
 
 
 def hash_code(g: Graphlet, fn: str = "auto") -> str:

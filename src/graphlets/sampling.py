@@ -16,7 +16,8 @@ states that different walks reach are merged by topology. A run
 returns its visiting order and its (position, state) path; labels are
 laid onto the path afterwards, node labels from the visiting order and
 edge labels inserted at each step's position. All states are dropped
-at a run boundary once there are more than ``STATE_CAP``.
+at a run boundary once there are more than ``STATE_CAP``, and by
+``clear_states``.
 
 Runs are mutually independent and fully reproducible: the random stream
 of a run is derived only from (seed, graph id, run index), so results
@@ -135,6 +136,11 @@ def _state(g: Graphlet) -> tuple[Graphlet, dict, dict]:
     if state is None:
         state = _STATES[g] = (g, {}, {})
     return state
+
+
+def clear_states() -> None:
+    """Drop every walk state, and with them their steps and codes."""
+    _STATES.clear()
 
 
 def _add_step(state: tuple, lu: int, lv: int) -> tuple:

@@ -17,6 +17,7 @@ from graphlets import (
     resolve_hash_function,
     write_report,
 )
+from graphlets import audit
 from graphlets.audit import _extensions, _profile, _same_class, audit_code
 from graphlets.graphs import edge_key
 from graphlets.hashing import degree_values
@@ -189,6 +190,94 @@ def test_extensions_drop_only_children_with_an_earlier_isomorphic_sibling():
     assert dropped > 0
 
 
+def _edge_key(g):
+    """The relabelled edge key ``_profile`` files g under."""
+    keys = set()
+    _profile(g, keys)
+    (key,) = keys
+    return key
+
+
+@pytest.mark.parametrize("top", [6, pytest.param(7, marks=pytest.mark.slow)])
+def test_children_with_one_key_are_isomorphic(top):
+    # every child the extension step yields from every representative up
+    # to t=top, grouped by key per size: each is isomorphic to the first
+    merged = 0
+    for t in range(1, top + 1):
+        first = {}
+        for parent in enumerate_connected(t):
+            for child in _extensions(parent):
+                key = _edge_key(child)
+                if key in first:
+                    assert isomorphic_by_permutation(first[key], child), (first[key], child)
+                    merged += 1
+                else:
+                    first[key] = child
+    assert merged > 200
+
+
+def test_key_is_the_edge_set_renumbered_by_rank():
+    # bit 16 * a + b stands for edge (a, b), set both ways round, of g
+    # with its nodes renumbered, so no two edges share a bit up to 16 nodes
+    rng = random.Random(59)
+    graphlets = [random_graphlet(rng, max_edges=11) for _ in range(200)]
+    graphlets.append(Graphlet(12, tuple(combinations(range(12), 2))[1:]))
+    for g in graphlets:
+        key = _edge_key(g)
+        bits = [i for i in range(key.bit_length()) if key >> i & 1]
+        assert all(key >> ((i & 15) << 4 | i >> 4) & 1 for i in bits), g
+        edges = tuple(sorted((i >> 4, i & 15) for i in bits if i >> 4 < i & 15))
+        assert len(edges) == g.n_edges, g
+        assert is_isomorphic(Graphlet(g.n_nodes, edges), g), g
+
+
+def _sorted_tuple_signatures(g):
+    """Per node: degree, label and the sorted tuple of neighbour degrees."""
+    nbrs = [[] for _ in range(g.n_nodes)]
+    for u, v in g.edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    labels = g.node_labels or ("",) * g.n_nodes
+    return [(len(a), labels[u], tuple(sorted(len(nbrs[w]) for w in a)))
+            for u, a in enumerate(nbrs)]
+
+
+def test_integer_signatures_split_nodes_as_sorted_tuples_do():
+    rng = random.Random(53)
+    graphlets = [random_graphlet(rng, max_edges=10, labeled=trial % 2 == 0)
+                 for trial in range(300)]
+    star = Graphlet(12, tuple((0, v) for v in range(1, 12)))
+    near_complete = Graphlet(12, tuple(combinations(range(12), 2))[1:])  # K12 minus (0, 1)
+    graphlets += [star, near_complete]
+    # one bijection between the two signature sets over every node of
+    # every graphlet, so they split nodes alike within and across graphlets
+    to_tuple, to_int = {}, {}
+    for g in graphlets:
+        for new, old in zip(_profile(g).sig, _sorted_tuple_signatures(g)):
+            assert to_tuple.setdefault(new, old) == old, (g, new, old)
+            assert to_int.setdefault(old, new) == new, (g, new, old)
+    assert max(old[0] for old in to_int) == 11
+    assert len(to_int) > 250, len(to_int)
+
+
+def test_enumeration_to_t9_runs_few_searches(monkeypatch):
+    # children the relabelled edge key recognises need no search: 759
+    # unpinned searches to t=9, against 4,661 without the key
+    searches = Counter()
+
+    def counting(p1, p2, pin=None):
+        searches[pin is None] += 1
+        return _same_class(p1, p2, pin)
+
+    monkeypatch.setattr(audit, "_same_class", counting)
+    enumerate_connected.cache_clear()
+    try:
+        assert len(enumerate_connected(9)) == 710  # builds every smaller size too
+    finally:
+        enumerate_connected.cache_clear()
+    assert 0 < searches[True] < 1000, searches
+
+
 def test_oracle_respects_labels():
     a = Graphlet(2, ((0, 1),), node_labels=("C", "N"))
     b = Graphlet(2, ((0, 1),), node_labels=("C", "C"))
@@ -306,4 +395,13 @@ def test_representatives_up_to_t9_are_pinned():
                    for t in range(1, 10) for g in enumerate_connected(t))
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
         "4ba8b772f3d1cca36f87eff34900b83feaab40c84c298292f05b330e96cf6e27"
+    )
+
+
+@pytest.mark.slow
+def test_representatives_of_t10_are_pinned():
+    # the 2,322 classes with 10 edges, in the line format of the t<=9 pin
+    text = "".join(f"10\t{g.n_nodes}\t{g.edges}\n" for g in enumerate_connected(10))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+        "07a05e71f0d6d8bb7a0f999ac8fe5436f781e87e895f4ae58c847999b0f337eb"
     )

@@ -9,7 +9,7 @@ import pytest
 
 import graphlets
 from graphlets import save_graphs, save_manifest
-from graphlets import cli
+from graphlets import cli, hashing, sampling
 from graphlets.cli import main, worker_count
 
 import synth
@@ -259,6 +259,37 @@ def test_embed_byte_identical_across_threads(tmp_path, capsys):
             (out / "embeddings.tsv").read_bytes(),
         )
     assert outputs["1"] == outputs["4"]
+    capsys.readouterr()
+
+
+def test_embed_drops_walk_states_and_code_caches_before_the_rows(
+        tmp_path, capsys, monkeypatch):
+    # at --threads 1 the walks run in this process; the dense rows and the
+    # files are built without the states and cached codes held beside them
+    graphs, manifest = _dataset(tmp_path, n_graphs=4, seed=5)
+    held = []
+
+    def cached():
+        return (len(sampling._STATES), hashing._hash_code_cached.cache_info().currsize,
+                hashing._topology_key.cache_info().currsize)
+
+    def pmap(*args):
+        out = real_pmap(*args)
+        held.append(cached())
+        return out
+
+    def finalize(*args):
+        held.append(cached())
+        return real_finalize(*args)
+
+    real_pmap, real_finalize = cli._pmap, cli.finalize_embeddings
+    monkeypatch.setattr(cli, "_pmap", pmap)
+    monkeypatch.setattr(cli, "finalize_embeddings", finalize)
+    assert main(["embed", "--graphs", graphs, "--manifest", manifest, "--T", "5",
+                 "--M", "10", "--threads", "1", "--out", str(tmp_path / "out")]) == 0
+    (states, codes, _), after = held
+    assert states > 0 and codes > 0
+    assert after == (0, 0, 0)
     capsys.readouterr()
 
 
