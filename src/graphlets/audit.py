@@ -13,18 +13,17 @@ by :mod:`graphlets.hashing` key on the exact vectors plus label
 signatures and are at least as fine, so their real collision rate is
 bounded by the reported one.
 
-Enumeration builds a parent's children once per orbit of the parent's
-automorphisms that the search finds (children in one orbit are
-isomorphic). A child whose relabelled edge key (its edges after
-renumbering the nodes by signature rank, see ``_profile``) an earlier
-child of the same size already had is isomorphic to that child and is
-dropped at once; equal keys prove isomorphism, so the first child of
-each class is still the one kept. The other children are deduped
-against the kept representatives of their signature bucket. One
-enumeration call keeps the keys and one oracle profile per kept
-graphlet (labelled adjacency, node signatures and the search's placement
-order) and drops them all when it returns; ``is_isomorphic`` runs the
-same search on two fresh profiles.
+Enumeration extends each representative of one size by every single
+edge. A child whose relabelled edge key (its edges after renumbering
+the nodes by signature rank, see ``_profile``) an earlier child of the
+same size already had is isomorphic to that child and is dropped at
+once; equal keys prove isomorphism, so the first child of each class
+is still the one kept. The other children are deduped against the
+kept representatives of their signature bucket. One enumeration call
+keeps the keys and one oracle profile per kept graphlet (labelled
+adjacency, node signatures and the search's placement order) and
+drops them all when it returns; ``is_isomorphic`` runs the same search
+on two fresh profiles.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import NamedTuple
 
-from .graphs import Graph, Graphlet, edge_key, serialize_graph
+from .graphs import Graph, Graphlet, serialize_graph
 from .hashing import measure_values, resolve_hash_function
 
 MAX_ORACLE_NODES = 12
@@ -111,19 +110,15 @@ def _profile(g: Graphlet, seen: set[int] | None = None) -> _Profile | None:
     return _Profile(adj, sig, by_sig, order)
 
 
-def _same_class(p1: _Profile, p2: _Profile,
-                pin: tuple[int, int] | None = None) -> list[int] | None:
+def _same_class(p1: _Profile, p2: _Profile) -> bool:
     """Backtracking search for a signature-preserving node mapping of
-    p1's graphlet onto p2's that keeps adjacency and edge labels (and
-    sends x to y if ``pin = (x, y)``); the mapping, or None if there is
-    none. The caller has checked sizes and the sorted signatures."""
+    p1's graphlet onto p2's that keeps adjacency and edge labels. The
+    caller has checked sizes and the sorted signatures."""
     adj1, adj2, order = p1.adj, p2.adj, p1.order
     n = len(order)
     mapping = [-1] * n
     used = [False] * n
     cands = [p2.by_sig[s] for s in p1.sig]
-    if pin:
-        cands[pin[0]] = [pin[1]] if pin[1] in cands[pin[0]] else []
 
     def extend(i: int) -> bool:
         if i == n:
@@ -143,7 +138,7 @@ def _same_class(p1: _Profile, p2: _Profile,
                 used[y] = False
         return False
 
-    return mapping if extend(0) else None
+    return extend(0)
 
 
 def is_isomorphic(g1: Graphlet, g2: Graphlet) -> bool:
@@ -159,44 +154,16 @@ def is_isomorphic(g1: Graphlet, g2: Graphlet) -> bool:
     p1, p2 = _profile(g1), _profile(g2)
     if sorted(p1.sig) != sorted(p2.sig):
         return False
-    return _same_class(p1, p2) is not None
+    return _same_class(p1, p2)
 
 
 def _extensions(g: Graphlet) -> list[Graphlet]:
     """g plus one edge: each non-edge (u, v) in index order, then each
-    new leaf (u, n). Children in the same orbit of the automorphisms of
-    g that the search finds are isomorphic and are built once, as the
-    first of their orbit. Every dropped child has an isomorphic sibling
-    earlier in the list, so the first child of every class is kept."""
-    n, present, p = g.n_nodes, set(g.edges), _profile(g)
-    orbit = list(range(n))  # node -> lowest node known to share its orbit
-    autos = []  # automorphisms found, extended to fix the new node n
-    for x in range(n):
-        for y in p.by_sig[p.sig[x]]:
-            if y <= x or orbit[y] == orbit[x]:
-                continue
-            m = _same_class(p, p, (x, y))
-            if m is None:
-                continue
-            autos.append(m + [n])
-            for u in range(n):  # merge the orbits of u and m[u]
-                lo, hi = sorted((orbit[u], orbit[m[u]]))
-                orbit = [lo if o == hi else o for o in orbit]
+    new leaf (u, n)."""
+    n, present = g.n_nodes, set(g.edges)
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in present]
     pairs += [(u, n) for u in range(n)]
-    seen: set[tuple[int, int]] = set()
-    out = []
-    for pair in pairs:
-        if pair in seen:
-            continue
-        out.append(Graphlet(n + (pair[1] == n), tuple(sorted(present | {pair}))))
-        stack = [pair]
-        while stack:  # mark pair's orbit
-            u, v = stack.pop()
-            if (u, v) not in seen:
-                seen.add((u, v))
-                stack.extend(edge_key(m[u], m[v]) for m in autos)
-    return out
+    return [Graphlet(n + (v == n), tuple(sorted(present | {(u, v)}))) for u, v in pairs]
 
 
 @lru_cache(maxsize=None)
@@ -217,7 +184,7 @@ def enumerate_connected(n_edges: int) -> tuple[Graphlet, ...]:
             if p is None:
                 continue
             bucket = buckets.setdefault(tuple(sorted(p.sig)), [])
-            if any(_same_class(p, kept) is not None for kept in bucket):
+            if any(_same_class(p, kept) for kept in bucket):
                 continue
             bucket.append(p)
             reps.append(child)

@@ -15,7 +15,7 @@ import os
 import sys
 
 from . import __version__
-from .audit import collision_report, write_report
+from .audit import MAX_ENUM_EDGES, collision_report, write_report
 from .embedding import (
     build_vocabulary,
     embed_graph_stats,
@@ -267,6 +267,8 @@ def cmd_knn(args) -> int:
 
 
 def cmd_audit(args) -> int:
+    if not 1 <= args.t <= MAX_ENUM_EDGES:
+        raise UsageError(f"audit: --t must be in 1..{MAX_ENUM_EDGES}")
     report = collision_report(args.hash, args.t, keep_pairs=not args.no_pairs)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, f"audit-{report.fn}-t{args.t}.tsv")

@@ -381,8 +381,7 @@ def kernel_value(x, y, spec):
 def single_edge_extensions(g):
     """Every graphlet g plus one edge, in enumeration order: each
     non-edge (u, v) in index order, then each new leaf (u, n). The
-    package's former unpruned extension step, kept as the reference its
-    orbit pruning must be a subsequence of."""
+    reference the package's extension step must equal."""
     present = set(g.edges)
     out = []
     for u in range(g.n_nodes):

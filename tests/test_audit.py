@@ -19,13 +19,11 @@ from graphlets import (
 )
 from graphlets import audit
 from graphlets.audit import _extensions, _profile, _same_class, audit_code
-from graphlets.graphs import edge_key
 from graphlets.hashing import degree_values
 
 from oracles import (
     check_graphlet,
     isomorphic_by_permutation,
-    isomorphisms_by_permutation,
     single_edge_extensions,
 )
 from synth import EDGE_ALPHABET, NODE_ALPHABET, permute_graphlet, random_graphlet
@@ -150,44 +148,10 @@ def test_oracle_equals_permutation_search_on_small_graphlets():
     assert outcomes[True] >= 250 and outcomes[False] >= 250, outcomes
 
 
-def test_pinned_search_equals_permutation_automorphisms():
-    rng = random.Random(47)
-    outcomes = Counter()
-    for trial in range(60):
-        g = random_graphlet(rng, max_edges=6, labeled=trial % 2 == 0)
-        autos = list(isomorphisms_by_permutation(g, g))
-        p = _profile(g)
-        node_labels = g.node_labels or ("",) * g.n_nodes
-        labelled_edges = set(zip(g.edges, g.edge_labels or (None,) * g.n_edges))
-        for x in range(g.n_nodes):
-            for y in range(g.n_nodes):
-                mapping = _same_class(p, p, (x, y))
-                expected = any(a[x] == y for a in autos)
-                assert (mapping is not None) == expected, (g, x, y)
-                outcomes[expected, x == y] += 1
-                if mapping is None:
-                    continue
-                assert mapping[x] == y
-                assert {(edge_key(mapping[u], mapping[v]), lbl)
-                        for (u, v), lbl in labelled_edges} == labelled_edges
-                assert [node_labels[mapping[u]] for u in range(g.n_nodes)] == list(node_labels)
-    assert outcomes[True, False] >= 100 and outcomes[False, False] >= 100, outcomes
-
-
-def test_extensions_drop_only_children_with_an_earlier_isomorphic_sibling():
-    dropped = 0
+def test_extensions_are_every_single_edge_child_in_order():
     for t in range(1, 8):
         for parent in enumerate_connected(t):
-            kept = _extensions(parent)
-            earlier = []
-            for child in single_edge_extensions(parent):
-                if len(earlier) < len(kept) and child == kept[len(earlier)]:
-                    earlier.append(child)
-                else:
-                    assert any(is_isomorphic(child, k) for k in earlier), (parent, child)
-                    dropped += 1
-            assert earlier == kept, parent  # kept is a subsequence, in order
-    assert dropped > 0
+            assert _extensions(parent) == single_edge_extensions(parent), parent
 
 
 def _edge_key(g):
@@ -261,13 +225,14 @@ def test_integer_signatures_split_nodes_as_sorted_tuples_do():
 
 
 def test_enumeration_to_t9_runs_few_searches(monkeypatch):
-    # children the relabelled edge key recognises need no search: 759
-    # unpinned searches to t=9, against 4,661 without the key
-    searches = Counter()
+    # children the relabelled edge key recognises need no search: 843
+    # searches to t=9, against 8,378 without the key
+    searches = 0
 
-    def counting(p1, p2, pin=None):
-        searches[pin is None] += 1
-        return _same_class(p1, p2, pin)
+    def counting(p1, p2):
+        nonlocal searches
+        searches += 1
+        return _same_class(p1, p2)
 
     monkeypatch.setattr(audit, "_same_class", counting)
     enumerate_connected.cache_clear()
@@ -275,7 +240,7 @@ def test_enumeration_to_t9_runs_few_searches(monkeypatch):
         assert len(enumerate_connected(9)) == 710  # builds every smaller size too
     finally:
         enumerate_connected.cache_clear()
-    assert 0 < searches[True] < 1000, searches
+    assert 0 < searches < 1000, searches
 
 
 def test_oracle_respects_labels():

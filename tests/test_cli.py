@@ -514,8 +514,9 @@ def test_audit_command(tmp_path, capsys):
     report = (tmp_path / "out" / "audit-clustering-t3.tsv").read_text()
     assert "# colliding pair 0" in report
     assert stdout.splitlines()[:2] == report.splitlines()[:2]
-    assert main(["audit", "--hash", "degree", "--t", "11", "--out", out]) == 2
-    capsys.readouterr()
+    for t in ("0", "11"):  # a usage error, checked before any enumeration
+        assert main(["audit", "--hash", "degree", "--t", t, "--out", out]) == 1
+        assert "--t must be in 1..10" in capsys.readouterr().err
 
 
 def test_audit_betweenness_t7_single_collision(tmp_path, capsys):
