@@ -31,7 +31,7 @@ from .graphs import (
     load_manifest,
     resolve_manifest,
 )
-from .hashing import HASH_FUNCTIONS, clear_caches
+from .hashing import HASH_FUNCTIONS
 from .kernels import (
     KernelSpec,
     kernel_matrix,
@@ -41,7 +41,8 @@ from .kernels import (
     rho_score,
     write_precomputed_kernel,
 )
-from .sampling import SamplerParams, clear_states, connected_graph_count, sample_size
+from .sampling import (SamplerParams, check_accuracy, clear_states, connected_graph_count,
+                       sample_size)
 
 # Walks per graph in one batch: far above the largest published budget
 # (1,289,987), and low enough that one graph's walks end within hours.
@@ -102,6 +103,14 @@ def _embed_worker(job):
     return graph.id, counts, dead
 
 
+def _sample_size(args, support: int) -> int:
+    try:  # a target out of range is a usage error, found before any input is read
+        check_accuracy(args.epsilon, args.delta)
+    except ValueError as exc:
+        raise UsageError(f"{args.command}: {exc}") from None
+    return sample_size(support, args.epsilon, args.delta)
+
+
 def _resolve_budgets(args) -> list[tuple[int, int, int, int]]:
     """(runs, max_edges, min_edges, run_offset) batches per graph."""
     explicit = args.M is not None
@@ -130,7 +139,7 @@ def _resolve_budgets(args) -> list[tuple[int, int, int, int]]:
             raise UsageError("embed: --per-size-m requires --epsilon/--delta")
         batches = [(args.M, args.T, args.t_min, 0)]
     elif not args.per_size_m:
-        runs = sample_size(support(args.T), args.epsilon, args.delta)
+        runs = _sample_size(args, support(args.T))
         batches = [(runs, args.T, args.t_min, 0)]
     else:
         if args.a_override is not None:
@@ -138,7 +147,7 @@ def _resolve_budgets(args) -> list[tuple[int, int, int, int]]:
         batches = []
         offset = 0
         for t in range(args.t_min, args.T + 1):
-            runs = sample_size(support(t), args.epsilon, args.delta)
+            runs = _sample_size(args, support(t))
             batches.append((runs, t, t, offset))
             offset += runs
     for runs, *_ in batches:
@@ -148,7 +157,7 @@ def _resolve_budgets(args) -> list[tuple[int, int, int, int]]:
 
 
 def cmd_sample_size(args) -> int:
-    print(sample_size(args.a, args.epsilon, args.delta))
+    print(_sample_size(args, args.a))
     return 0
 
 
@@ -182,9 +191,8 @@ def cmd_embed(args) -> int:
 
     jobs = [(g, samplers, args.hash) for g in selected]
     results = _pmap(_embed_worker, jobs, args.threads)
-    # Every graph is embedded: the rows below reuse the states' and codes' memory.
+    # Every graph is embedded: the rows below reuse the walk states' memory.
     clear_states()
-    clear_caches()
 
     train_ids = {e.graph_id for e in manifest if e.split == "train"}
     if args.vocab_scope == "all" or not train_ids:
@@ -337,7 +345,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("sample-size", parents=[common],
                         help="walk budget from an accuracy target")
-    p.add_argument("--a", type=int, required=True, help="class count of the target size")
+    p.add_argument("--a", type=_positive_int, required=True,
+                   help="class count of the target size")
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--delta", type=float, required=True)
     p.set_defaults(func=cmd_sample_size)
@@ -383,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="k-NN retrieval scores over a dataset")
     p.add_argument("--embeddings", required=True)
     p.add_argument("--manifest", required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_positive_int, required=True)
     p.add_argument("--kind", choices=sorted(_KIND_BY_FLAG), default="hist-int")
     p.add_argument("--gamma", type=float, default=None)
     p.set_defaults(func=cmd_knn)

@@ -1,16 +1,16 @@
 """Histogram embeddings of graphs over a deterministic code vocabulary.
 
 Every sampled graphlet of a graph is hashed to its code key string; the
-per-graph histogram counts keys. An unlabelled walk's graphlets are the
-sampler's walk states, and each state keeps its code per hash function,
-so a topology is hashed once while its state lives and its code reused
-for every later visit; labelled graphlets are hashed per step, their
-measure vectors shared per topology (see :mod:`graphlets.hashing`). The
-vocabulary is the sorted tuple of all observed keys, so a key's
-position is its bin index and never depends on graph processing order
-or parallelism. Count vectors are then aligned to the vocabulary; keys
-absent from it (a frozen vocabulary applied to new data) are dropped
-and tallied in an ``oov_count`` diagnostic rather than raising.
+per-graph histogram counts keys. The sampler's walk states are the only
+cache: an unlabelled graphlet is its state, which keeps its code per
+hash function, and a labelled graphlet's state keeps its topology's
+measure key, so only the label signatures are built per step (see
+:mod:`graphlets.hashing`). The vocabulary is the sorted tuple of all
+observed keys, so a key's position is its bin index and never depends
+on graph processing order or parallelism. Count vectors are then
+aligned to the vocabulary; keys absent from it (a frozen vocabulary
+applied to new data) are dropped and tallied in an ``oov_count``
+diagnostic rather than raising.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .graphs import Graph
-from .hashing import hash_code, resolve_hash_function
+from .graphs import Graph, GraphFormatError
+from .hashing import _code, _measure_key, hash_code, resolve_hash_function
 from .sampling import SamplerParams, labelled_graphlets, walks
 from .sampling import sample_all  # noqa: F401  (not called here; the benchmark wraps the name)
 
@@ -58,8 +58,8 @@ def embed_graph_stats(
     with at least ``min_edges`` edges are hashed; the map sums to
     runs * (max_edges - min_edges + 1) when no run dead-ends. Only the
     current run's path is held, so memory does not grow with the
-    budget. An unlabelled graphlet's code is read from, or on a miss
-    stored in, its walk state, so it lives and is dropped with the state.
+    budget. Codes (unlabelled) and measure keys (labelled) live and die
+    with the walk states. A ``Graph`` checked its labels, so codes do not.
     """
     if not 1 <= min_edges <= params.max_edges:
         raise ValueError(
@@ -74,10 +74,15 @@ def embed_graph_stats(
         if len(path) < params.max_edges:
             dead_ends += 1
         if labelled:
-            for g in labelled_graphlets(graph, order, path)[skip:]:
-                counts[hash_code(g, fn)] += 1
+            graphlets = labelled_graphlets(graph, order, path)
+            for (_, (topology, _, _, measures)), g in zip(path[skip:], graphlets[skip:]):
+                measure = measures.get(fn)
+                if measure is None:
+                    resolved = resolve_hash_function(fn, g.n_edges)
+                    measure = measures[fn] = (resolved, _measure_key(resolved, topology))
+                counts[_code(measure[0], g, measure[1])] += 1
             continue
-        for _, (g, _, codes) in path[skip:]:
+        for _, (g, _, codes, _) in path[skip:]:
             code = codes.get(fn)
             if code is None:
                 code = codes[fn] = hash_code(g, fn)
@@ -156,10 +161,10 @@ def _parse_cell(cell: str, graph_id: str) -> float | int:
 def read_embeddings(path: str) -> tuple[list[str], list[list]]:
     """Read an embeddings TSV back into (graph ids, rows of finite numbers)."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise ValueError("empty embeddings file")
-    width = len(lines[0].split("\t")) - 1
+        lines = fh.read().splitlines() or [""]
+    width = lines[0].count("\t")
+    if width < 1 or lines[0] != "\t".join(["graph_id"] + [f"bin{i}" for i in range(width)]):
+        raise GraphFormatError("expected the header graph_id, bin0, ..., bin<w-1> (tabs)", 1)
     ids: list[str] = []
     rows: list[list] = []
     for line in lines[1:]:

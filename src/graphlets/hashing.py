@@ -3,15 +3,13 @@
 Each code is built from one per-node topological measure (degree, core
 number, local clustering coefficient, or betweenness centrality),
 sorted into a canonical ascending vector. Fractional measures are kept
-as exact rationals so codes never depend on float formatting. Labelled
+as exact rationals (betweenness as integer numerators over one common
+denominator), so codes never depend on float formatting. Labelled
 graphlets additionally carry node/edge label signatures ordered by the
 measure-sorted node ranking. A code reads only a ``Graphlet``'s node
 count, local edges and labels, so sampled and enumerated graphlets hash
-alike, and codes are cached on the (function, graphlet) pair until
-``clear_caches``. On a cache miss, betweenness is computed as integer
-numerators over one common denominator and printed without building
-``Fraction``s, and a labelled graphlet takes its measure vector from a
-cache keyed on its unlabelled topology.
+alike. Nothing here is cached: ``_measure_key`` reads the topology,
+``_code`` adds the labels, and the embed keeps either on a walk state.
 
 ``hash_code`` returns the code as its key string, which is also the
 vocabulary entry and so the histogram bin:
@@ -20,16 +18,14 @@ vocabulary entry and so the histogram bin:
 
 with rationals serialized ``num/den`` (``den`` omitted when 1, as
 ``str`` prints a ``Fraction``) and the label fields empty for unlabelled
-graphlets. Labels never contain ``,`` or ``|`` (a ``Graph`` rejects them
-when built, and a code rejects them on a cache miss), so distinct label
-signatures give distinct keys.
+graphlets. Labels never hold ``,`` or ``|`` (a ``Graph`` rejects them,
+``hash_code`` a hand-built ``Graphlet``'s), so label signatures never merge.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
 
 from .graphs import Graphlet, _check_label, adjacency_lists
@@ -180,45 +176,29 @@ def _measure_key(fn: str, g: Graphlet) -> tuple[tuple, str]:
     return tuple(values), ",".join(map(str, sorted(values)))
 
 
-# The labelled graphlets of one topology share its measure vector.
-_topology_key = lru_cache(maxsize=1 << 16)(_measure_key)
-
-
-@lru_cache(maxsize=1 << 18)
-def _hash_code_cached(fn: str, g: Graphlet) -> str:
-    for label in (g.node_labels or ()) + (g.edge_labels or ()):
-        _check_label(label)
-    labelled = g.node_labels is not None or g.edge_labels is not None
-    if labelled:
-        values, topo_key = _topology_key(fn, Graphlet(g.n_nodes, g.edges))
-    else:
-        values, topo_key = _measure_key(fn, g)
-
-    node_label_key = edge_label_key = ""
-    if labelled:
+def _code(fn: str, g: Graphlet, measure: tuple[tuple, str]) -> str:
+    """Code key of ``g`` under resolved ``fn`` from its ``_measure_key``; no label check."""
+    values, topo_key = measure
+    nodes, edges = g.node_labels, g.edge_labels
+    node_key = edge_key = ""
+    if nodes is not None or edges is not None:
         # Nodes are ordered by (measure value, node label); nodes that tie
         # on both are interchangeable, so edge signatures use the rank of
         # the (value, label) class rather than of the individual node,
         # which keeps codes identical across relabelings.
-        keys = list(zip(values, g.node_labels or ("",) * g.n_nodes))
-        class_rank = {k: r for r, k in enumerate(sorted(set(keys)))}
-        if g.node_labels is not None:
-            node_label_key = ",".join(lbl for _, lbl in sorted(keys))
-        if g.edge_labels is not None:
-            triples = []
-            for (u, v), lbl in zip(g.edges, g.edge_labels):
-                ru, rv = sorted((class_rank[keys[u]], class_rank[keys[v]]))
-                triples.append((ru, rv, lbl))
-            edge_label_key = ",".join(lbl for _, _, lbl in sorted(triples))
-    return f"{g.n_edges}|{fn}|{topo_key}|{node_label_key}|{edge_label_key}"
-
-
-def clear_caches() -> None:
-    """Drop the cached codes and measure vectors (and their hit counts)."""
-    _hash_code_cached.cache_clear()
-    _topology_key.cache_clear()
+        keys = list(zip(values, nodes or ("",) * g.n_nodes))
+        if nodes is not None:
+            node_key = ",".join([lbl for _, lbl in sorted(keys)])
+        if edges is not None:
+            rank = {k: r for r, k in enumerate(sorted(set(keys)))}
+            ends = [sorted((rank[keys[u]], rank[keys[v]])) for u, v in g.edges]
+            edge_key = ",".join([lbl for _, lbl in sorted(zip(ends, edges))])
+    return f"{g.n_edges}|{fn}|{topo_key}|{node_key}|{edge_key}"
 
 
 def hash_code(g: Graphlet, fn: str = "auto") -> str:
     """Permutation-invariant code key of a graphlet under a hash function."""
-    return _hash_code_cached(resolve_hash_function(fn, g.n_edges), g)
+    fn = resolve_hash_function(fn, g.n_edges)
+    for label in (g.node_labels or ()) + (g.edge_labels or ()):
+        _check_label(label)
+    return _code(fn, g, _measure_key(fn, g))

@@ -10,14 +10,14 @@ the walk's visiting order maps local nodes back to the parent graph.
 The walk is one loop over per-process walk states. A state is a local
 topology so far (an unlabelled ``Graphlet``), its steps (local edge ->
 the edge's position among the next state's sorted edges, and the next
-state) and its codes (hash function -> code key). A step is one lookup
-in the current state's steps; a state is built only on a miss, and
-states that different walks reach are merged by topology. A run
-returns its visiting order and its (position, state) path; labels are
-laid onto the path afterwards, node labels from the visiting order and
-edge labels inserted at each step's position. All states are dropped
-at a run boundary once there are more than ``STATE_CAP``, and by
-``clear_states``.
+state), and the embed's only cache: codes (hash function -> code key)
+and measures (hash function -> resolved one, measure key). A step is
+one lookup in the current state's steps; a state is built only on a
+miss, and states that different walks reach are merged by topology. A
+run returns its visiting order and (position, state) path; labels are
+laid on afterwards, node labels from the visiting order and edge labels
+at each step's position. All states are dropped at a run boundary once
+there are more than ``STATE_CAP``, and by ``clear_states``.
 
 Runs are mutually independent and fully reproducible: the random stream
 of a run is derived only from (seed, graph id, run index), so results
@@ -48,6 +48,14 @@ def connected_graph_count(n_edges: int) -> int:
     return CONNECTED_GRAPH_COUNTS[n_edges - 1]
 
 
+def check_accuracy(epsilon: float, delta: float) -> None:
+    """Reject an accuracy target outside epsilon in (0, 1], delta in (0, 1)."""
+    if not 0.0 < epsilon <= 1.0:
+        raise ValueError(f"epsilon must be in (0, 1], got {epsilon}")
+    if not 0.0 < delta < 1.0:
+        raise ValueError(f"delta must be in (0, 1), got {delta}")
+
+
 def sample_size(support_size: int, epsilon: float, delta: float) -> int:
     """Runs needed so the empirical class distribution is within epsilon
     (L1) of the true one with probability at least 1 - delta.
@@ -57,10 +65,7 @@ def sample_size(support_size: int, epsilon: float, delta: float) -> int:
     """
     if support_size < 1:
         raise ValueError(f"support_size must be >= 1, got {support_size}")
-    if not 0.0 < epsilon <= 1.0:
-        raise ValueError(f"epsilon must be in (0, 1], got {epsilon}")
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must be in (0, 1), got {delta}")
+    check_accuracy(epsilon, delta)
     try:
         bound = 2.0 * (support_size * math.log(2.0) + math.log(1.0 / delta))
         return math.ceil(bound / (epsilon * epsilon))
@@ -126,26 +131,26 @@ def _below(getrandbits, n: int) -> int:
 
 STATE_CAP = 1 << 14  # states kept; past it all are dropped at a run boundary
 _ROOT = Graphlet(1, ())  # one node, no edge: where every walk starts
-# Local topology -> its walk state (topology, steps, codes).
-_STATES: dict[Graphlet, tuple[Graphlet, dict, dict]] = {}
+# Local topology -> its walk state (topology, steps, codes, measures).
+_STATES: dict[Graphlet, tuple[Graphlet, dict, dict, dict]] = {}
 
 
-def _state(g: Graphlet) -> tuple[Graphlet, dict, dict]:
+def _state(g: Graphlet) -> tuple[Graphlet, dict, dict, dict]:
     """The state of local topology ``g``, made on first sight."""
     state = _STATES.get(g)
     if state is None:
-        state = _STATES[g] = (g, {}, {})
+        state = _STATES[g] = (g, {}, {}, {})
     return state
 
 
 def clear_states() -> None:
-    """Drop every walk state, and with them their steps and codes."""
+    """Drop every walk state, and with them their steps, codes and measures."""
     _STATES.clear()
 
 
 def _add_step(state: tuple, lu: int, lv: int) -> tuple:
     """Step miss: (position, next state) of adding local edge (lu, lv), lu < lv."""
-    g, steps, _ = state
+    g, steps, _, _ = state
     e = (lu, lv)
     pos = bisect_left(g.edges, e)
     nxt = Graphlet(max(g.n_nodes, lv + 1), g.edges[:pos] + (e,) + g.edges[pos:])
@@ -253,8 +258,8 @@ def labelled_graphlets(graph: Graph, order: list[int], path: list[tuple]) -> lis
     """The run's graphlets carrying the graph's labels, one per step.
 
     Node labels follow the visiting order; each step's edge label is
-    inserted at the position its local edge took among the sorted
-    edges. An unlabelled graph's graphlets are the states' own.
+    inserted at its local edge's position among the sorted edges. An
+    unlabelled graph's graphlets are the states' own; no state keeps a labelled one.
     """
     node_labels, edge_labels = graph.node_labels, graph.edge_labels
     if node_labels is None and edge_labels is None:
@@ -262,7 +267,7 @@ def labelled_graphlets(graph: Graph, order: list[int], path: list[tuple]) -> lis
     nodes = tuple(node_labels[x] for x in order) if node_labels is not None else None
     edges: list[str] = []
     out = []
-    for pos, (g, _, _) in path:
+    for pos, (g, _, _, _) in path:
         if edge_labels is not None:
             a, b = g.edges[pos]
             edges.insert(pos, graph.edge_label(order[a], order[b]))  # type: ignore[arg-type]

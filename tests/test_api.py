@@ -6,7 +6,6 @@ import sys
 from pathlib import Path
 
 import graphlets
-from graphlets import hashing
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -43,7 +42,6 @@ def test_benchmark_instrumentation_finds_every_name_it_wraps():
     trace = graphlets.sample_run(graphlets.parse_graph_file("t g\nv 0\nv 1\ne 0 1")[0],
                                  graphlets.SamplerParams(runs=1, max_edges=2), 0)
     assert len(trace.graphlets) == 1 and trace.dead_end
-    assert callable(hashing._hash_code_cached.cache_info)
 
 
 def test_readme_quick_start_runs(tmp_path):

@@ -50,6 +50,15 @@ def test_sample_size_command(capsys):
 
 def test_usage_errors_exit_one(tmp_path, capsys):
     assert main(["sample-size", "--a", "1", "--epsilon", "0.1"]) == 1
+    # an accuracy target or class count out of range depends on no data
+    for bad, text in ((["--a", "0", "--epsilon", "0.1", "--delta", "0.1"], "--a"),
+                      (["--a", "79", "--epsilon", "2", "--delta", "0.1"], "epsilon"),
+                      (["--a", "79", "--epsilon", "0", "--delta", "0.1"], "epsilon"),
+                      (["--a", "79", "--epsilon", "nan", "--delta", "0.1"], "epsilon"),
+                      (["--a", "79", "--epsilon", "0.1", "--delta", "1"], "delta"),
+                      (["--a", "79", "--epsilon", "0.1", "--delta", "-0.5"], "delta")):
+        assert main(["sample-size"] + bad) == 1, bad
+        assert text in capsys.readouterr().err
     assert main(["no-such-command"]) == 1
     graphs = _write(tmp_path, "g.txt", TRIANGLE_TXT)
     manifest = _write(tmp_path, "m.tsv", "tri\tc\tunsplit\n")
@@ -70,14 +79,21 @@ def test_usage_errors_exit_one(tmp_path, capsys):
                       (["--M", "5", "--seed", "-1"], "seed"),
                       (["--M", "0"], "runs"),
                       (budget + ["--a-override", "0"], "--a-override"),
-                      (budget + ["--a-override", "-3"], "--a-override")):
+                      (budget + ["--a-override", "-3"], "--a-override"),
+                      (["--epsilon", "2", "--delta", "0.1"], "embed: epsilon"),
+                      (["--epsilon", "0.1", "--delta", "0"], "embed: delta"),
+                      (["--per-size-m", "--epsilon", "0.1", "--delta", "1"], "embed: delta")):
         for graph_file in (graphs, missing):
             args = ["embed", "--graphs", graph_file, "--manifest", manifest, "--T", "3",
                     "--out", str(out)] + bad
             assert main(args) == 1, bad
             assert text in capsys.readouterr().err
             assert not out.exists()
-    capsys.readouterr()
+    for k in ("0", "-1"):  # --k above n-1 depends on the data, see below
+        assert main(["knn", "--embeddings", missing, "--manifest", missing, "--k", k,
+                     "--out", str(out)]) == 1
+        assert "--k" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_worker_count_is_capped_by_jobs_and_cpus(monkeypatch):
@@ -114,6 +130,10 @@ def test_data_errors_exit_two(tmp_path, capsys):
                  "--epsilon", "1e-200", "--delta", "0.1", "--out", str(out)]) == 2
     assert capsys.readouterr().err == "error: the walk budget is not a finite number\n"
     assert not out.exists()
+    emb = _write(tmp_path, "e.tsv", "graph_id\tbin0\ntri\t1\n")
+    assert main(["knn", "--embeddings", emb, "--manifest", manifest, "--k", "1",
+                 "--out", str(out)]) == 2
+    assert "k must be in 1..0" in capsys.readouterr().err
 
 
 def test_walk_budget_above_the_bound_exits_two(tmp_path, capsys):
@@ -135,6 +155,26 @@ def test_walk_budget_above_the_bound_exits_two(tmp_path, capsys):
         assert main(base + budget) == 2
         assert capsys.readouterr().err == (
             "error: embed: the walk budget exceeds 100000000 walks per graph\n")
+    assert not out.exists()
+
+
+def test_embeddings_without_the_written_header_exit_two(tmp_path, capsys):
+    manifest = _write(tmp_path, "m.tsv", "cyc0\ta\tunsplit\ncyc1\tb\tunsplit\n")
+    graphs = _write(tmp_path, "g.txt", TRIANGLE_TXT.replace("tri", "cyc0") * 40)
+    out = tmp_path / "out"
+    for text in ("whatever\ncyc0\ncyc1\n",  # read as rows with no bins
+                 "graph_id\ncyc0\ncyc1\n",
+                 "graph_id\tbin1\ncyc0\t1\ncyc1\t2\n",
+                 "graph_id\tbin0\tbin0\ncyc0\t1\t1\ncyc1\t2\t2\n",
+                 "",
+                 None):  # a graph file passed as embeddings
+        emb = graphs if text is None else _write(tmp_path, "e.tsv", text)
+        for command in (["kernel", "--kind", "dot"], ["knn", "--k", "1"]):
+            assert main(command + ["--embeddings", emb, "--manifest", manifest,
+                                   "--out", str(out)]) == 2, (text, command)
+            err = capsys.readouterr().err
+            assert err.startswith("error: line 1: expected the header graph_id")
+            assert err.count("\n") == 1 and len(err) < 100
     assert not out.exists()
 
 
@@ -265,21 +305,17 @@ def test_embed_byte_identical_across_threads(tmp_path, capsys):
 def test_embed_drops_walk_states_and_code_caches_before_the_rows(
         tmp_path, capsys, monkeypatch):
     # at --threads 1 the walks run in this process; the dense rows and the
-    # files are built without the states and cached codes held beside them
+    # files are built without the states, which hold every code, beside them
     graphs, manifest = _dataset(tmp_path, n_graphs=4, seed=5)
     held = []
 
-    def cached():
-        return (len(sampling._STATES), hashing._hash_code_cached.cache_info().currsize,
-                hashing._topology_key.cache_info().currsize)
-
     def pmap(*args):
         out = real_pmap(*args)
-        held.append(cached())
+        held.append(len(sampling._STATES))
         return out
 
     def finalize(*args):
-        held.append(cached())
+        held.append(len(sampling._STATES))
         return real_finalize(*args)
 
     real_pmap, real_finalize = cli._pmap, cli.finalize_embeddings
@@ -287,9 +323,10 @@ def test_embed_drops_walk_states_and_code_caches_before_the_rows(
     monkeypatch.setattr(cli, "finalize_embeddings", finalize)
     assert main(["embed", "--graphs", graphs, "--manifest", manifest, "--T", "5",
                  "--M", "10", "--threads", "1", "--out", str(tmp_path / "out")]) == 0
-    (states, codes, _), after = held
-    assert states > 0 and codes > 0
-    assert after == (0, 0, 0)
+    states, after = held
+    assert states > 0 and after == 0
+    # the states are the only cache: hashing keeps nothing to clear
+    assert [n for n in dir(hashing) if hasattr(getattr(hashing, n), "cache_clear")] == []
     capsys.readouterr()
 
 

@@ -12,6 +12,7 @@ from graphlets import (
     hash_code,
     parse_graph_file,
     read_embeddings,
+    resolve_hash_function,
     sample_all,
     sample_run,
     write_embeddings,
@@ -186,9 +187,11 @@ def test_large_budgets_equal_per_run_reference_across_table_clears(monkeypatch):
 
     monkeypatch.setattr(sampling, "_add_step", counting_add_step)
     wide = random_connected_graph("wide", 14, 6, random.Random(5))
+    labelled = random_connected_graph("lab", 14, 6, random.Random(5), labeled=True)
     for graph, params, fn, offset in (
         (TRIANGLE, SamplerParams(runs=2 * 1000 + 7, max_edges=2, seed=3), "degree", 5),
         (wide, SamplerParams(runs=200, max_edges=5, seed=3), "auto", 0),
+        (labelled, SamplerParams(runs=200, max_edges=6, seed=3), "auto", 0),
     ):
         built.clear()
         counts, dead = embed_graph_stats(graph, params, fn, 1, offset)
@@ -223,6 +226,36 @@ def test_each_state_is_hashed_once(monkeypatch):
     assert len(calls) == 2 * len(met)
     embed_graph_stats(g, params, "core", min_edges)
     assert len(calls) == 2 * len(met)
+
+
+def test_each_labelled_state_measures_its_topology_once(monkeypatch):
+    # A labelled graphlet's code is built per step, but the measure key
+    # of its topology is computed once per hash function while the state
+    # lives, and from the unlabelled topology itself.
+    _fresh_table(monkeypatch)
+    calls = []
+    real = embedding._measure_key
+
+    def spy(fn, g):
+        calls.append((fn, g))
+        return real(fn, g)
+
+    monkeypatch.setattr(embedding, "_measure_key", spy)
+    g = random_connected_graph("g", 16, 8, random.Random(23), labeled=True)
+    params = SamplerParams(runs=300, max_edges=6, seed=4)
+    min_edges = 3
+    counts = embed_graph_stats(g, params, "auto", min_edges)
+    assert counts == _reference_counts(g, params, "auto", min_edges)
+    met = {s for t in sample_all(g, params) for s in t.graphlets[min_edges - 1 :]}
+    topologies = {s._replace(node_labels=None, edge_labels=None) for s in met}
+    assert len(topologies) > 50
+    resolved = {(resolve_hash_function("auto", s.n_edges), s) for s in topologies}
+    assert len(calls) == len(topologies) and set(calls) == resolved
+    embed_graph_stats(g, params, "auto", min_edges)  # a second embed of the same graph
+    assert len(calls) == len(topologies)
+    embed_graph_stats(g, params, "core", min_edges)  # a second hash function
+    assert len(calls) == 2 * len(topologies)
+    assert set(calls[len(topologies):]) == {("core", s) for s in topologies}
 
 
 def test_transition_table_never_changes_counts(monkeypatch):

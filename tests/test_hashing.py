@@ -130,7 +130,6 @@ def test_code_keys_equal_the_fraction_path():
 
 def test_hash_code_key_grammar():
     assert hash_code(TRIANGLE, "degree") == "3|degree|2,2,2||"
-    assert hash_code(TRIANGLE, "degree") is hash_code(TRIANGLE, "degree")  # cached
     assert hash_code(K2, "degree") == "1|degree|1,1||"
     # rationals print num/den, integral ones (here 0 and 1) plainly
     assert hash_code(PAW, "clustering") == "4|clustering|0,1/3,1,1||"
