@@ -5,112 +5,44 @@ walks, partitioned into isomorphism classes through low-collision
 topological hash codes, and counted into histogram embeddings that feed
 kernels, k-NN retrieval, and an audit harness checking the hash
 functions' collision rates against exhaustive enumeration.
+
+The names in ``__all__`` resolve lazily: reading one imports the module
+that defines it, so importing the package (as every CLI call does)
+loads no submodule.
 """
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-from .audit import (
-    CollisionReport,
-    collision_report,
-    enumerate_connected,
-    format_report,
-    is_isomorphic,
-    write_report,
-)
-from .embedding import (
-    Embedding,
-    build_vocabulary,
-    embed_graph_stats,
-    finalize_embeddings,
-    read_embeddings,
-    write_embeddings,
-    write_vocabulary,
-)
-from .graphs import (
-    Graph,
-    GraphFormatError,
-    Graphlet,
-    ManifestEntry,
-    load_graphs,
-    load_manifest,
-    parse_graph_file,
-    parse_manifest,
-    resolve_manifest,
-    save_graphs,
-    save_manifest,
-    serialize_graph,
-    serialize_graphs,
-)
-from .hashing import (
-    HASH_FUNCTIONS,
-    hash_code,
-    resolve_hash_function,
-)
-from .kernels import (
-    KERNEL_KINDS,
-    KernelSpec,
-    RankingPair,
-    kernel_matrix,
-    knn_retrieval_scores,
-    loo_knn_accuracy,
-    ranking_pair,
-    rho_score,
-    write_precomputed_kernel,
-)
-from .sampling import (
-    CONNECTED_GRAPH_COUNTS,
-    RunTrace,
-    SamplerParams,
-    connected_graph_count,
-    sample_all,
-    sample_run,
-    sample_size,
-)
+_EXPORTS = {
+    "audit": ("CollisionReport", "collision_report", "enumerate_connected",
+              "format_report", "is_isomorphic", "write_report"),
+    "embedding": ("Embedding", "build_vocabulary", "embed_graph_stats",
+                  "finalize_embeddings", "read_embeddings", "write_embeddings",
+                  "write_vocabulary"),
+    "graphs": ("Graph", "GraphFormatError", "Graphlet", "ManifestEntry", "load_graphs",
+               "load_manifest", "parse_graph_file", "parse_manifest", "resolve_manifest",
+               "save_graphs", "save_manifest", "serialize_graph", "serialize_graphs"),
+    "hashing": ("HASH_FUNCTIONS", "hash_code", "resolve_hash_function"),
+    "kernels": ("KERNEL_KINDS", "KernelSpec", "RankingPair", "kernel_matrix",
+                "knn_retrieval_scores", "loo_knn_accuracy", "ranking_pair", "rho_score",
+                "write_precomputed_kernel"),
+    "sampling": ("CONNECTED_GRAPH_COUNTS", "RunTrace", "SamplerParams",
+                 "connected_graph_count", "sample_all", "sample_run", "sample_size"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    "CONNECTED_GRAPH_COUNTS",
-    "CollisionReport",
-    "Embedding",
-    "Graph",
-    "GraphFormatError",
-    "Graphlet",
-    "HASH_FUNCTIONS",
-    "KERNEL_KINDS",
-    "KernelSpec",
-    "ManifestEntry",
-    "RankingPair",
-    "RunTrace",
-    "SamplerParams",
-    "build_vocabulary",
-    "collision_report",
-    "connected_graph_count",
-    "embed_graph_stats",
-    "enumerate_connected",
-    "finalize_embeddings",
-    "format_report",
-    "hash_code",
-    "is_isomorphic",
-    "kernel_matrix",
-    "knn_retrieval_scores",
-    "load_graphs",
-    "load_manifest",
-    "loo_knn_accuracy",
-    "parse_graph_file",
-    "parse_manifest",
-    "ranking_pair",
-    "read_embeddings",
-    "resolve_hash_function",
-    "resolve_manifest",
-    "rho_score",
-    "sample_all",
-    "sample_run",
-    "sample_size",
-    "save_graphs",
-    "save_manifest",
-    "serialize_graph",
-    "serialize_graphs",
-    "write_embeddings",
-    "write_precomputed_kernel",
-    "write_report",
-    "write_vocabulary",
-]
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{module}", __name__), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _MODULE_OF.keys())

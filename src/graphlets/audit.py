@@ -8,34 +8,40 @@ codes. Degree, core and betweenness codes are the exact sorted
 per-node vectors. Clustering codes are the per-node coefficients
 divided by the node count, compared as fixed-width rows of width t+1,
 zero-filled on the left; that is how the reference measurements these
-reports are validated against were taken. The embedding codes produced
-by :mod:`graphlets.hashing` key on the exact vectors plus label
-signatures and are at least as fine, so their real collision rate is
-bounded by the reported one.
+reports are validated against were taken. Both fractional measures are
+compared as exact integers, never as ``Fraction`` objects (see
+``audit_code``). The embedding codes produced by :mod:`graphlets.hashing`
+key on the exact vectors plus label signatures and are at least as
+fine, so their real collision rate is bounded by the reported one.
 
 Enumeration extends each representative of one size by every single
-edge. A child whose relabelled edge key (its edges after renumbering
-the nodes by signature rank, see ``_profile``) an earlier child of the
-same size already had is isomorphic to that child and is dropped at
-once; equal keys prove isomorphism, so the first child of each class
-is still the one kept. The other children are deduped against the
-kept representatives of their signature bucket. One enumeration call
-keeps the keys and one oracle profile per kept graphlet (labelled
-adjacency, node signatures and the search's placement order) and
-drops them all when it returns; ``is_isomorphic`` runs the same search
-on two fresh profiles.
+edge. Each child's relabelled edge key (its edge set after renumbering
+the nodes by neighbour-degree code, see ``_relabelled_key``) is taken
+from codes derived from the parent's (``_children``), before the child
+is built. A child whose key an earlier child of the same size already
+had is isomorphic to that child and is dropped at once; equal keys
+prove isomorphism, so the first child of each class is still the one
+kept. Only the other children are built, and each is deduped against
+the kept representatives with the same sorted codes (an unlabelled
+node's code fixes its degree, so this is its signature bucket); a
+child alone in its bucket needs no search. One enumeration call keeps
+the keys, the buckets and one oracle profile (labelled adjacency, node
+signatures and the search's placement order) per graphlet that took
+part in a search, and drops them all when it returns;
+``is_isomorphic`` runs the same search on two fresh profiles.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
-from .graphs import Graph, Graphlet, serialize_graph
-from .hashing import measure_values, resolve_hash_function
+from .graphs import Graph, Graphlet, adjacency_lists, serialize_graph
+from .hashing import _clustering_terms, _measure_key, measure_values, resolve_hash_function
 
 MAX_ORACLE_NODES = 12
 MAX_ENUM_EDGES = 10
@@ -50,28 +56,14 @@ class _Profile(NamedTuple):
     order: list[int]  # placement order of the search
 
 
-def _profile(g: Graphlet, seen: set[int] | None = None) -> _Profile | None:
-    """The search's profile of g; with ``seen``, None if g's relabelled
-    edge key is in it (else the key is added).
+def _codes(n: int, edges) -> tuple[list[int], list[int]]:
+    """Per-node degrees and neighbour-degree codes of a graphlet.
 
-    A node's signature is (degree, label, code), the code being the sum
-    of ``16 ** degree(w)`` over its neighbours w: a base-16 numeral whose
-    digit d counts the neighbours of degree d. Up to ``MAX_ORACLE_NODES``
-    = 12 nodes, degrees and digits are at most 11, so the code names the
-    multiset of neighbour degrees exactly.
-
-    The key renumbers the nodes 0..n-1 in (code, index) order, the code
-    being an unlabelled node's whole signature, and sets bit
-    ``16 * r_u + r_v`` for each edge (u, v), both ways round. Up to 16
-    nodes this one int fixes the renumbered edge set, and with it the
-    node count of a graphlet with edges: an isolated node's code is 0, so
-    the highest-numbered node has an edge. Two graphlets with one
-    key are then isomorphic whatever the ties in the ranking: a tie only
-    costs a hit. The key ignores labels, so ``seen`` is for unlabelled
-    graphlets. The signatures, adjacency, buckets and placement order
-    are built only on a miss.
+    A node's code is the sum of ``16 ** degree(w)`` over its neighbours
+    w: a base-16 numeral whose digit d counts the neighbours of degree
+    d. Up to ``MAX_ORACLE_NODES`` = 12 nodes, degrees and digits are at
+    most 11, so the code names the multiset of neighbour degrees exactly.
     """
-    n, edges = g.n_nodes, g.edges
     deg = [0] * n
     for u, v in edges:
         deg[u] += 1
@@ -80,16 +72,51 @@ def _profile(g: Graphlet, seen: set[int] | None = None) -> _Profile | None:
     for u, v in edges:
         code[u] += 1 << 4 * deg[v]
         code[v] += 1 << 4 * deg[u]
-    if seen is not None:
-        rank = [0] * n
-        for r, u in enumerate(sorted(range(n), key=code.__getitem__)):
-            rank[u] = r
-        key = 0
-        for u, v in edges:
-            key |= 1 << (rank[u] << 4 | rank[v]) | 1 << (rank[v] << 4 | rank[u])
-        if key in seen:
-            return None
-        seen.add(key)
+    return deg, code
+
+
+# _EDGE_BITS[16 * a + b]: the key bits of edge (a, b) between renumbered nodes
+_EDGE_BITS = [1 << (a << 4 | b) | 1 << (b << 4 | a) for a in range(16) for b in range(16)]
+
+
+def _relabelled_key(code: list[int], edges) -> int:
+    """The edge set after renumbering the nodes by code, as one int.
+
+    The nodes are renumbered 0..n-1 in (code, index) order, and bit
+    ``16 * r_u + r_v`` is set for each edge (u, v), both ways round. Up
+    to 16 nodes this one int fixes the renumbered edge set, and with it
+    the node count of a graphlet with edges: an isolated node's code is
+    0, so the highest-numbered node has an edge. Two graphlets with one
+    key are then isomorphic whatever the ties in the ranking: a tie only
+    costs a hit. The key ignores labels.
+    """
+    order = sorted(range(len(code)), key=code.__getitem__)
+    rank = sorted(range(len(order)), key=order.__getitem__)  # the inverse of order
+    key = 0
+    for u, v in edges:
+        key |= _EDGE_BITS[rank[u] << 4 | rank[v]]
+    return key
+
+
+def _finer_codes(code: list[int], edges) -> list[int]:
+    """Each node's code followed by the sum of its neighbours' codes, as
+    one int: a code is below ``16 ** 12``, so a sum over at most 11
+    neighbours is below ``2 ** 52``. Ranked by these, fewer nodes tie."""
+    near = [0] * len(code)
+    for u, v in edges:
+        near[u] += code[v]
+        near[v] += code[u]
+    return [c << 52 | s for c, s in zip(code, near)]
+
+
+def _profile(g: Graphlet) -> _Profile:
+    """The search's profile of g.
+
+    A node's signature is (degree, label, code), the code being its
+    neighbour-degree code (see ``_codes``).
+    """
+    n, edges = g.n_nodes, g.edges
+    deg, code = _codes(n, edges)
     sig = list(zip(deg, g.node_labels or ("",) * n, code))
     adj: list[dict[int, str | None]] = [{} for _ in range(n)]
     for (u, v), label in zip(edges, g.edge_labels or (None,) * len(edges)):
@@ -157,13 +184,38 @@ def is_isomorphic(g1: Graphlet, g2: Graphlet) -> bool:
     return _same_class(p1, p2)
 
 
-def _extensions(g: Graphlet) -> list[Graphlet]:
-    """g plus one edge: each non-edge (u, v) in index order, then each
-    new leaf (u, n)."""
-    n, present = g.n_nodes, set(g.edges)
+def _children(g: Graphlet) -> Iterator[tuple[int, int, list[int]]]:
+    """(u, v, codes) for each single-edge child of g, g plus the edge
+    (u, v): each non-edge (u, v) in index order, then each new leaf
+    (u, n). codes are the child's neighbour-degree codes (``_codes``).
+
+    They are derived from g's: adding (u, v) raises the degrees of u
+    and v by one, so u gains a neighbour of degree deg(v) + 1 and v one
+    of degree deg(u) + 1, and each neighbour of u sees digit deg(u) + 1
+    in place of digit deg(u) (likewise for v). No other code changes.
+    """
+    n, edges = g.n_nodes, g.edges
+    deg, code = _codes(n, edges)
+    nbrs = adjacency_lists(n, edges) + ((),)  # the new leaf n has no neighbour yet
+    present = set(edges)
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in present]
     pairs += [(u, n) for u in range(n)]
-    return [Graphlet(n + (v == n), tuple(sorted(present | {(u, v)}))) for u, v in pairs]
+    deg.append(0)  # the new leaf's
+    for u, v in pairs:
+        du, dv = deg[u], deg[v]
+        c = code + [0] if v == n else code[:]
+        c[u] += 1 << 4 * (dv + 1)
+        c[v] += 1 << 4 * (du + 1)
+        for w in nbrs[u]:
+            c[w] += 15 << 4 * du  # 16 ** (du + 1) - 16 ** du
+        for w in nbrs[v]:
+            c[w] += 15 << 4 * dv
+        yield u, v, c
+
+
+def _child(g: Graphlet, u: int, v: int) -> Graphlet:
+    """g plus the edge (u, v), u < v; v == g.n_nodes adds a leaf."""
+    return Graphlet(g.n_nodes + (v == g.n_nodes), tuple(sorted(g.edges + ((u, v),))))
 
 
 @lru_cache(maxsize=None)
@@ -176,17 +228,35 @@ def enumerate_connected(n_edges: int) -> tuple[Graphlet, ...]:
     if n_edges == 1:
         return (Graphlet(2, ((0, 1),)),)
     reps: list[Graphlet] = []
-    buckets: dict[tuple, list[_Profile]] = {}  # sorted signatures -> kept profiles
     seen: set[int] = set()  # relabelled edge keys of the children so far
+    seen_finer: set[int] = set()  # the same, ranked by finer codes
+    buckets: dict[tuple, list[Graphlet]] = {}  # sorted codes -> kept graphlets
+    profiles: dict[Graphlet, _Profile] = {}  # built for a graphlet's first search
+
+    def profile(g: Graphlet) -> _Profile:
+        if g not in profiles:
+            profiles[g] = _profile(g)
+        return profiles[g]
+
     for parent in enumerate_connected(n_edges - 1):
-        for child in _extensions(parent):
-            p = _profile(child, seen)
-            if p is None:
+        for u, v, code in _children(parent):
+            edges = parent.edges + ((u, v),)
+            key = _relabelled_key(code, edges)
+            if key in seen:
                 continue
-            bucket = buckets.setdefault(tuple(sorted(p.sig)), [])
-            if any(_same_class(p, kept) for kept in bucket):
+            seen.add(key)
+            # A finer ranking ties fewer nodes, so most isomorphic children
+            # that the first key kept apart share its key and need no
+            # search. It costs more, so only the first key's misses pay it.
+            key = _relabelled_key(_finer_codes(code, edges), edges)
+            if key in seen_finer:
                 continue
-            bucket.append(p)
+            seen_finer.add(key)
+            child = _child(parent, u, v)
+            bucket = buckets.setdefault(tuple(sorted(code)), [])
+            if any(_same_class(profile(child), profile(kept)) for kept in bucket):
+                continue
+            bucket.append(child)
             reps.append(child)
     return tuple(reps)
 
@@ -204,13 +274,24 @@ class CollisionReport:
     colliding_pairs: tuple[tuple[Graphlet, Graphlet], ...]
 
 
-def audit_code(g: Graphlet, fn: str, n_edges: int) -> tuple:
-    """Measurement key used for collision counting (see module docs)."""
-    values = measure_values(g, fn)
+def audit_code(g: Graphlet, fn: str, n_edges: int) -> tuple | str:
+    """Measurement key used for collision counting (see module docs).
+
+    Both fractional measures group on exact integers: betweenness on
+    the embed's own printed vector (integer numerators over one common
+    denominator, printed as reduced ratios), clustering on the sorted
+    reduced (numerator, denominator) pairs of each coefficient divided
+    by the node count, padded with (0, 1) to width t+1.
+    """
+    if fn == "betweenness":
+        return _measure_key(fn, g)[1]
     if fn == "clustering":
-        row = sorted(v / g.n_nodes for v in values)
-        return tuple([0] * (n_edges + 1 - len(row)) + row)
-    return tuple(sorted(values))
+        row = [(0, 1)] * (n_edges + 1 - g.n_nodes)
+        for t, triples in _clustering_terms(g):
+            d = math.gcd(t, triples * g.n_nodes)
+            row.append((t // d, triples * g.n_nodes // d))
+        return tuple(sorted(row))
+    return tuple(sorted(measure_values(g, fn)))
 
 
 def collision_report(fn: str, n_edges: int, keep_pairs: bool = True) -> CollisionReport:

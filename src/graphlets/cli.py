@@ -6,6 +6,12 @@ scoring. All randomness flows from --seed through documented per-run
 stream derivation, and --threads never changes output bytes, only wall
 time. Exit codes: 0 success, 1 usage error, 2 data error, 141 stdout
 closed before all output was written.
+
+A start imports only ``graphs`` and ``hashing`` of this package; each
+command imports the modules it runs, so ``--version`` and ``audit``
+load neither the sampler, the embeddings nor numpy. The names read from
+those modules are bound into this module's namespace on first use (see
+``_bind``), where a wrapper set from outside beforehand stays in place.
 """
 
 from __future__ import annotations
@@ -13,36 +19,42 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from importlib import import_module
 
 from . import __version__
-from .audit import MAX_ENUM_EDGES, collision_report, write_report
-from .embedding import (
-    build_vocabulary,
-    embed_graph_stats,
-    finalize_embeddings,
-    read_embeddings,
-    write_embeddings,
-    write_vocabulary,
-)
-from .graphs import (
-    GraphFormatError,
-    _records,
-    load_graphs,
-    load_manifest,
-    resolve_manifest,
-)
+from .graphs import GraphFormatError, _records, load_graphs, load_manifest, resolve_manifest
 from .hashing import HASH_FUNCTIONS
-from .kernels import (
-    KernelSpec,
-    kernel_matrix,
-    knn_retrieval_scores,
-    loo_knn_accuracy,
-    ranking_pair,
-    rho_score,
-    write_precomputed_kernel,
-)
-from .sampling import (SamplerParams, check_accuracy, clear_states, connected_graph_count,
-                       sample_size)
+
+# Module -> names the commands read from it. These modules are imported
+# only by the commands that run them: ``_bind`` makes the names globals
+# here, which is how the ``cmd_*`` functions below find them.
+_LAZY = {
+    "audit": ("MAX_ENUM_EDGES", "collision_report", "write_report"),
+    "embedding": ("build_vocabulary", "embed_graph_stats", "finalize_embeddings",
+                  "read_embeddings", "write_embeddings", "write_vocabulary"),
+    "kernels": ("KernelSpec", "kernel_matrix", "knn_retrieval_scores", "loo_knn_accuracy",
+                "ranking_pair", "rho_score", "write_precomputed_kernel"),
+    "sampling": ("SamplerParams", "check_accuracy", "clear_states", "connected_graph_count",
+                 "sample_size"),
+}
+
+
+def _bind(*modules: str) -> None:
+    """Import each module and bind its ``_LAZY`` names here. A name that
+    is already bound stays: a caller may have replaced it with a wrapper."""
+    for module in modules:
+        found = import_module(f".{module}", __package__)
+        for name in _LAZY[module]:
+            globals().setdefault(name, getattr(found, name))
+
+
+def __getattr__(name: str):
+    for module, names in _LAZY.items():
+        if name in names:
+            _bind(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 # Walks per graph in one batch: far above the largest published budget
 # (1,289,987), and low enough that one graph's walks end within hours.
@@ -92,6 +104,7 @@ def _pmap(fn, jobs, threads: int):
 
 
 def _embed_worker(job):
+    _bind("embedding")  # a worker that starts from a fresh import has bound nothing
     graph, batches, fn = job
     counts: dict[str, int] = {}
     dead = 0
@@ -113,6 +126,7 @@ def _sample_size(args, support: int) -> int:
 
 def _resolve_budgets(args) -> list[tuple[int, int, int, int]]:
     """(runs, max_edges, min_edges, run_offset) batches per graph."""
+    _bind("sampling")
     explicit = args.M is not None
     derived = args.epsilon is not None or args.delta is not None
     if explicit == derived:
@@ -157,11 +171,13 @@ def _resolve_budgets(args) -> list[tuple[int, int, int, int]]:
 
 
 def cmd_sample_size(args) -> int:
+    _bind("sampling")
     print(_sample_size(args, args.a))
     return 0
 
 
 def cmd_embed(args) -> int:
+    _bind("sampling", "embedding")
     if args.t_min < 1 or args.t_min > args.T:
         raise UsageError("embed: --t-min must be in 1..T")
     batches = _resolve_budgets(args)
@@ -244,6 +260,7 @@ def _kernel_spec(args) -> KernelSpec:
 
 
 def cmd_kernel(args) -> int:
+    _bind("embedding", "kernels")
     spec = _kernel_spec(args)
     ids, rows = read_embeddings(args.embeddings)
     labels = _load_labels(args.manifest, ids)
@@ -256,6 +273,7 @@ def cmd_kernel(args) -> int:
 
 
 def cmd_knn(args) -> int:
+    _bind("embedding", "kernels")
     spec = _kernel_spec(args)
     ids, rows = read_embeddings(args.embeddings)
     labels = _load_labels(args.manifest, ids)
@@ -275,6 +293,7 @@ def cmd_knn(args) -> int:
 
 
 def cmd_audit(args) -> int:
+    _bind("audit")
     if not 1 <= args.t <= MAX_ENUM_EDGES:
         raise UsageError(f"audit: --t must be in 1..{MAX_ENUM_EDGES}")
     report = collision_report(args.hash, args.t, keep_pairs=not args.no_pairs)
@@ -305,6 +324,7 @@ def _read_rankings(path: str) -> list[tuple[str, list[str]]]:
 
 
 def cmd_rho(args) -> int:
+    _bind("kernels")
     system = _read_rankings(args.system_ranks)
     truth = dict(_read_rankings(args.truth_ranks))
     missing = [qid for qid, _ in system if qid not in truth]

@@ -159,7 +159,12 @@ def _parse_cell(cell: str, graph_id: str) -> float | int:
 
 
 def read_embeddings(path: str) -> tuple[list[str], list[list]]:
-    """Read an embeddings TSV back into (graph ids, rows of finite numbers)."""
+    """Read an embeddings TSV back into (graph ids, rows of finite numbers).
+
+    A header other than the one ``write_embeddings`` writes, a row of
+    another width and a repeated graph id are ``GraphFormatError``s
+    naming their line.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines() or [""]
     width = lines[0].count("\t")
@@ -167,12 +172,16 @@ def read_embeddings(path: str) -> tuple[list[str], list[list]]:
         raise GraphFormatError("expected the header graph_id, bin0, ..., bin<w-1> (tabs)", 1)
     ids: list[str] = []
     rows: list[list] = []
-    for line in lines[1:]:
+    seen: set[str] = set()
+    for line_no, line in enumerate(lines[1:], start=2):
         if not line:
             continue
         cells = line.split("\t")
         if len(cells) != width + 1:
-            raise ValueError(f"row width mismatch for {cells[0]!r}")
+            raise GraphFormatError(f"row width mismatch for {cells[0]!r}", line_no)
+        if cells[0] in seen:
+            raise GraphFormatError(f"duplicate graph id {cells[0]!r}", line_no)
+        seen.add(cells[0])
         ids.append(cells[0])
         rows.append([_parse_cell(c, cells[0]) for c in cells[1:]])
     return ids, rows

@@ -4,7 +4,8 @@ Each code is built from one per-node topological measure (degree, core
 number, local clustering coefficient, or betweenness centrality),
 sorted into a canonical ascending vector. Fractional measures are kept
 as exact rationals (betweenness as integer numerators over one common
-denominator), so codes never depend on float formatting. Labelled
+denominator, clustering as triangle and triple counts), so codes never
+depend on float formatting. Labelled
 graphlets additionally carry node/edge label signatures ordered by the
 measure-sorted node ranking. A code reads only a ``Graphlet``'s node
 count, local edges and labels, so sampled and enumerated graphlets hash
@@ -26,7 +27,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import combinations
 
 from .graphs import Graphlet, _check_label, adjacency_lists
 
@@ -51,24 +51,45 @@ def degree_values(g: Graphlet) -> list[int]:
 def core_values(g: Graphlet) -> list[int]:
     """Per-node core numbers, in node order.
 
-    Computed by peeling a minimum-degree node at a time; the core
-    number of a node is the largest minimum degree seen up to its
-    removal.
+    Computed by peeling: at each level k, from 0 up, nodes of degree at
+    most k are removed one at a time, their neighbours' degrees falling
+    with them, until every node left has degree above k; the nodes
+    removed at level k have core number k.
+    """
+    adj = adjacency_lists(g.n_nodes, g.edges)
+    deg = [len(ns) for ns in adj]
+    core = [0] * g.n_nodes
+    left = set(range(g.n_nodes))
+    k = 0
+    while left:
+        k = max(k, min(deg[u] for u in left))
+        low = [u for u in left if deg[u] <= k]
+        left.difference_update(low)
+        while low:
+            u = low.pop()
+            core[u] = k
+            for w in adj[u]:
+                if w in left:
+                    deg[w] -= 1
+                    if deg[w] == k:
+                        left.discard(w)
+                        low.append(w)
+    return core
+
+
+def _clustering_terms(g: Graphlet) -> list[tuple[int, int]]:
+    """Per-node local clustering coefficient as (triangles, triples),
+    in node order; (0, 1) for nodes of degree < 2.
+
+    A triangle through w is one edge (u, v) between two neighbours of w.
     """
     adj = [set(ns) for ns in adjacency_lists(g.n_nodes, g.edges)]
-    deg = {u: len(adj[u]) for u in range(g.n_nodes)}
-    core = [0] * g.n_nodes
-    k = 0
-    while deg:
-        u = min(deg, key=lambda x: (deg[x], x))
-        k = max(k, deg[u])
-        core[u] = k
-        del deg[u]
-        for w in adj[u]:
-            if w in deg:
-                deg[w] -= 1
-                adj[w].discard(u)
-    return core
+    triangles = [0] * g.n_nodes
+    for u, v in g.edges:
+        for w in adj[u] & adj[v]:
+            triangles[w] += 1
+    return [(t, len(ns) * (len(ns) - 1) // 2) if len(ns) > 1 else (0, 1)
+            for t, ns in zip(triangles, adj)]
 
 
 def clustering_values(g: Graphlet) -> list[Fraction]:
@@ -77,16 +98,7 @@ def clustering_values(g: Graphlet) -> list[Fraction]:
     Ratio of triangles through the node to triples centred on it;
     zero for nodes of degree < 2.
     """
-    adj = [set(ns) for ns in adjacency_lists(g.n_nodes, g.edges)]
-    out: list[Fraction] = []
-    for u in range(g.n_nodes):
-        d = len(adj[u])
-        if d < 2:
-            out.append(Fraction(0))
-            continue
-        triangles = sum(1 for x, y in combinations(sorted(adj[u]), 2) if y in adj[x])
-        out.append(Fraction(triangles, d * (d - 1) // 2))
-    return out
+    return [Fraction(t, triples) for t, triples in _clustering_terms(g)]
 
 
 def betweenness_values(g: Graphlet) -> list[Fraction]:

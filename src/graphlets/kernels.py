@@ -52,13 +52,13 @@ def _rows(x: np.ndarray, block: np.ndarray, spec: KernelSpec) -> np.ndarray:
 
 def kernel_matrix(vectors, spec: KernelSpec) -> np.ndarray:
     """Dense symmetric kernel matrix; K[i][j] == K[j][i] exactly."""
+    if len(vectors) == 0:
+        raise ValueError("no embeddings given")
     import numpy as np
     X = np.asarray(vectors, dtype=float)
     if X.ndim != 2:
         raise ValueError("embeddings must share a common vector length")
     n = X.shape[0]
-    if n == 0:
-        raise ValueError("no embeddings given")
     K = np.empty((n, n))
     for i in range(n):
         row = _rows(X[i], X[i:], spec)

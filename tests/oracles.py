@@ -335,6 +335,17 @@ def reference_code_key(g, fn):
     return f"{g.n_edges}|{fn}|{topo_key}|{node_label_key}|{edge_label_key}"
 
 
+def reference_audit_key(g, fn, n_edges):
+    """The audit's former measurement key: the sorted exact values, the
+    clustering coefficients divided by the node count and zero-filled on
+    the left to width n_edges + 1 (``Fraction`` rows)."""
+    values = measure_values(g, fn)
+    if fn == "clustering":
+        row = sorted(v / g.n_nodes for v in values)
+        return tuple([0] * (n_edges + 1 - len(row)) + row)
+    return tuple(sorted(values))
+
+
 def reference_neighbor_order(sims, skip):
     """The package's former k-NN ranking of one kernel row: every index
     but ``skip``, by descending similarity, similarity ties in index

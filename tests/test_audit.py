@@ -18,12 +18,14 @@ from graphlets import (
     write_report,
 )
 from graphlets import audit
-from graphlets.audit import _extensions, _profile, _same_class, audit_code
+from graphlets.audit import (_child, _children, _codes, _finer_codes, _profile, _relabelled_key,
+                             _same_class, audit_code)
 from graphlets.hashing import degree_values
 
 from oracles import (
     check_graphlet,
     isomorphic_by_permutation,
+    reference_audit_key,
     single_edge_extensions,
 )
 from synth import EDGE_ALPHABET, NODE_ALPHABET, permute_graphlet, random_graphlet
@@ -151,33 +153,48 @@ def test_oracle_equals_permutation_search_on_small_graphlets():
 def test_extensions_are_every_single_edge_child_in_order():
     for t in range(1, 8):
         for parent in enumerate_connected(t):
-            assert _extensions(parent) == single_edge_extensions(parent), parent
+            children = [_child(parent, u, v) for u, v, _ in _children(parent)]
+            assert children == single_edge_extensions(parent), parent
 
 
 def _edge_key(g):
-    """The relabelled edge key ``_profile`` files g under."""
-    keys = set()
-    _profile(g, keys)
-    (key,) = keys
-    return key
+    """The relabelled edge key of g, computed from g alone."""
+    return _relabelled_key(_codes(g.n_nodes, g.edges)[1], g.edges)
+
+
+def test_child_keys_derived_from_the_parent_equal_keys_from_the_child():
+    children = 0
+    for t in range(1, 8):
+        for parent in enumerate_connected(t):
+            for u, v, code in _children(parent):
+                child = _child(parent, u, v)
+                assert code == _codes(child.n_nodes, child.edges)[1], (parent, u, v)
+                key = _relabelled_key(code, parent.edges + ((u, v),))
+                assert key == _edge_key(child), (parent, u, v)
+                children += 1
+    assert children > 1500, children
 
 
 @pytest.mark.parametrize("top", [6, pytest.param(7, marks=pytest.mark.slow)])
 def test_children_with_one_key_are_isomorphic(top):
     # every child the extension step yields from every representative up
-    # to t=top, grouped by key per size: each is isomorphic to the first
-    merged = 0
+    # to t=top, keyed per size as the enumeration keys it (the finer key
+    # only when the key by codes is new): each is isomorphic to the first
+    # child with its key
+    merged = Counter()
     for t in range(1, top + 1):
         first = {}
         for parent in enumerate_connected(t):
-            for child in _extensions(parent):
-                key = _edge_key(child)
-                if key in first:
-                    assert isomorphic_by_permutation(first[key], child), (first[key], child)
-                    merged += 1
-                else:
+            for u, v, code in _children(parent):
+                child, edges = _child(parent, u, v), parent.edges + ((u, v),)
+                for kind, ranked_by in (("codes", code), ("finer", _finer_codes(code, edges))):
+                    key = (kind, _relabelled_key(ranked_by, edges))
+                    if key in first:
+                        assert isomorphic_by_permutation(first[key], child), (first[key], child)
+                        merged[kind] += 1
+                        break
                     first[key] = child
-    assert merged > 200
+    assert merged["codes"] > 500 and merged["finer"] > 20, merged
 
 
 def test_key_is_the_edge_set_renumbered_by_rank():
@@ -225,8 +242,10 @@ def test_integer_signatures_split_nodes_as_sorted_tuples_do():
 
 
 def test_enumeration_to_t9_runs_few_searches(monkeypatch):
-    # children the relabelled edge key recognises need no search: 843
-    # searches to t=9, against 8,378 without the key
+    # children a relabelled edge key recognises need no search, and a
+    # child alone in its bucket needs none either: 216 searches to t=9
+    # with the finer key, 843 with the key by codes alone, and 8,378
+    # without a key
     searches = 0
 
     def counting(p1, p2):
@@ -302,6 +321,17 @@ def test_colliding_pairs_agree_with_pairwise_key_equality():
             index = {g: i for i, g in enumerate(reps)}
             got = {(index[a], index[b]) for a, b in r.colliding_pairs}
             assert got == brute, (fn, t)
+
+
+@pytest.mark.parametrize("t", [5, 6, 7, 8, 9])
+def test_integer_report_keys_group_as_fraction_keys_do(t):
+    reps = enumerate_connected(t)
+    for fn in ("clustering", "betweenness"):
+        groups, reference = {}, {}
+        for i, g in enumerate(reps):
+            groups.setdefault(audit_code(g, fn, t), []).append(i)
+            reference.setdefault(reference_audit_key(g, fn, t), []).append(i)
+        assert sorted(groups.values()) == sorted(reference.values()), (fn, t)
 
 
 def test_auto_resolves_in_reports():

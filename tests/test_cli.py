@@ -178,6 +178,20 @@ def test_embeddings_without_the_written_header_exit_two(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_embeddings_with_no_rows_or_a_repeated_id_exit_two(tmp_path, capsys):
+    manifest = _write(tmp_path, "m.tsv", "g0\ta\tunsplit\ng1\tb\tunsplit\n")
+    out = tmp_path / "out"
+    for text, message in (("graph_id\tbin0\n", "error: no embeddings given\n"),
+                          ("graph_id\tbin0\ng0\t1\ng1\t2\ng0\t3\n",
+                           "error: line 4: duplicate graph id 'g0'\n")):
+        emb = _write(tmp_path, "e.tsv", text)
+        for command in (["kernel", "--kind", "dot"], ["knn", "--k", "1"]):
+            assert main(command + ["--embeddings", emb, "--manifest", manifest,
+                                   "--out", str(out)]) == 2, (text, command)
+            assert capsys.readouterr().err == message
+    assert not out.exists()
+
+
 def test_non_finite_embedding_cells_exit_two(tmp_path, capsys):
     manifest = _write(tmp_path, "m.tsv", "c1\ta\tunsplit\nc2\tb\tunsplit\n")
     out = tmp_path / "out"
@@ -482,17 +496,21 @@ def test_closed_stdout_exits_141_after_writing_files(tmp_path):
     assert (out / "audit-degree-t3.tsv").read_text().startswith("fn\tt\t")
 
 
-# Runs commands in one fresh interpreter and reports, after each, whether
-# numpy and the process pool have been imported.
+# Runs commands in one fresh interpreter and reports, after each, which
+# of the modules a command may not need have been imported.
 _STARTUP_MODULES = """
 import contextlib, io, json, sys
 from graphlets.cli import main
+heavy = ["graphlets.sampling", "graphlets.embedding", "graphlets.kernels", "numpy",
+         "concurrent.futures.process"]
 seen = []
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
-        rc = main(argv)
-    seen.append([argv[0], rc, "numpy" in sys.modules,
-                 "concurrent.futures.process" in sys.modules])
+        try:
+            rc = main(argv)
+        except SystemExit as exc:  # --version exits from the parser
+            rc = exc.code
+    seen.append([argv[0], rc, [m for m in heavy if m in sys.modules]])
 print(json.dumps(seen))
 """
 
@@ -502,7 +520,8 @@ def test_commands_without_kernels_start_without_numpy(tmp_path):
     manifest = _write(tmp_path, "m.tsv", "tri\tc\tunsplit\n")
     out = str(tmp_path / "out")
     commands = [
-        ["audit", "--hash", "degree", "--t", "4", "--out", out],
+        ["--version"],
+        ["audit", "--hash", "degree", "--t", "3", "--out", out],
         ["embed", "--graphs", graphs, "--manifest", manifest, "--T", "3",
          "--M", "10", "--threads", "1", "--out", out],
         ["sample-size", "--a", "3", "--epsilon", "0.1", "--delta", "0.1"],
@@ -514,11 +533,13 @@ def test_commands_without_kernels_start_without_numpy(tmp_path):
     proc = subprocess.run([sys.executable, "-c", _STARTUP_MODULES, json.dumps(commands)],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    sampler = ["graphlets.sampling", "graphlets.embedding"]
     assert json.loads(proc.stdout) == [
-        ["audit", 0, False, False],
-        ["embed", 0, False, False],
-        ["sample-size", 0, False, False],
-        ["kernel", 0, True, False],  # the check sees numpy once a kernel loads it
+        ["--version", 0, []],  # each command imports only the modules it runs
+        ["audit", 0, []],
+        ["embed", 0, sampler],
+        ["sample-size", 0, sampler],
+        ["kernel", 0, sampler + ["graphlets.kernels", "numpy"]],
     ]
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from graphlets import (
     Embedding,
+    GraphFormatError,
     SamplerParams,
     build_vocabulary,
     embed_graph_stats,
@@ -136,6 +137,18 @@ def test_vocab_and_embedding_files_round_trip(tmp_path):
     ids, rows = read_embeddings(str(epath))
     assert ids == ["g0", "g1"]
     assert [tuple(r) for r in rows] == [e.counts for e in embs]
+
+
+def test_read_embeddings_rejects_a_repeated_id_and_a_short_row(tmp_path):
+    path = tmp_path / "emb.tsv"
+    for text, message in (("graph_id\tbin0\ng0\t1\ng1\t2\ng0\t3\n",
+                           "line 4: duplicate graph id 'g0'"),
+                          ("graph_id\tbin0\tbin1\ng0\t1\t2\n\ng1\t3\n",
+                           "line 4: row width mismatch for 'g1'")):
+        path.write_text(text)
+        with pytest.raises(GraphFormatError) as err:
+            read_embeddings(str(path))
+        assert str(err.value) == message
 
 
 def test_normalized_rows_sum_to_one(tmp_path):

@@ -76,6 +76,9 @@ def test_measures_agree_with_oracles_on_random_graphlets():
         assert betweenness_values(g) == betweenness_all_pairs(g)
         assert _sorted(g, "core") == sorted(core_by_threshold(g))
         assert _sorted(g, "clustering") == sorted(clustering_by_triple_scan(g))
+        # per node too: labelled codes order nodes by their values
+        assert measure_values(g, "core") == core_by_threshold(g)
+        assert measure_values(g, "clustering") == clustering_by_triple_scan(g)
 
 
 def test_brandes_betweenness_equals_references_on_all_classes_to_eight():
