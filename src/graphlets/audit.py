@@ -8,9 +8,11 @@ codes. Degree, core and betweenness codes are the exact sorted
 per-node vectors. Clustering codes are the per-node coefficients
 divided by the node count, compared as fixed-width rows of width t+1,
 zero-filled on the left; that is how the reference measurements these
-reports are validated against were taken. Both fractional measures are
-compared as exact integers, never as ``Fraction`` objects (see
-``audit_code``). The embedding codes produced by :mod:`graphlets.hashing`
+reports are validated against were taken. Every measure is read in the
+one integer form of :mod:`graphlets.hashing`, integer numerators over
+one common denominator, and the fractional ones group on that vector as
+a code prints it, never on ``Fraction`` objects (see ``audit_code``).
+The embedding codes produced by :mod:`graphlets.hashing`
 key on the exact vectors plus label signatures and are at least as
 fine, so their real collision rate is bounded by the reported one.
 
@@ -33,15 +35,14 @@ part in a search, and drops them all when it returns;
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from typing import Iterator, NamedTuple
 
-from .graphs import Graph, Graphlet, adjacency_lists, serialize_graph
-from .hashing import _clustering_terms, _measure_key, measure_values, resolve_hash_function
+from .graphs import Graph, Graphlet, _check_labels, adjacency_lists, serialize_graph
+from .hashing import _numerators, _ratio, measure_values, resolve_hash_function
 
 MAX_ORACLE_NODES = 12
 MAX_ENUM_EDGES = 10
@@ -170,12 +171,16 @@ def _same_class(p1: _Profile, p2: _Profile) -> bool:
 
 def is_isomorphic(g1: Graphlet, g2: Graphlet) -> bool:
     """Exact isomorphism test by backtracking over signature-compatible
-    node mappings; node/edge labels are respected when present."""
+    node mappings; node/edge labels are respected when present. Labels
+    must be one per node and one per edge and hold no key separator
+    (``GraphFormatError``, a ``ValueError``, otherwise)."""
     if g1.n_nodes > MAX_ORACLE_NODES or g2.n_nodes > MAX_ORACLE_NODES:
         raise ValueError(f"isomorphism oracle is limited to {MAX_ORACLE_NODES} nodes")
     if (g1.node_labels is None, g1.edge_labels is None) != (
             g2.node_labels is None, g2.edge_labels is None):
         raise ValueError("cannot compare labelled with unlabelled graphlets")
+    _check_labels(g1)
+    _check_labels(g2)
     if g1.n_nodes != g2.n_nodes or g1.n_edges != g2.n_edges:
         return False
     p1, p2 = _profile(g1), _profile(g2)
@@ -277,21 +282,19 @@ class CollisionReport:
 def audit_code(g: Graphlet, fn: str, n_edges: int) -> tuple | str:
     """Measurement key used for collision counting (see module docs).
 
-    Both fractional measures group on exact integers: betweenness on
-    the embed's own printed vector (integer numerators over one common
-    denominator, printed as reduced ratios), clustering on the sorted
-    reduced (numerator, denominator) pairs of each coefficient divided
-    by the node count, padded with (0, 1) to width t+1.
+    Degree and core group on their sorted integer vectors. Both
+    fractional measures group on one printed vector of their
+    ``_numerators``, the form a code prints: betweenness as the embed's
+    own vector, clustering over ``den * n`` (each coefficient divided by
+    the node count) and zero-filled on the left to width t+1.
     """
-    if fn == "betweenness":
-        return _measure_key(fn, g)[1]
+    if fn in ("degree", "core"):
+        return tuple(sorted(measure_values(g, fn)))
+    num, den = _numerators(fn, g)
     if fn == "clustering":
-        row = [(0, 1)] * (n_edges + 1 - g.n_nodes)
-        for t, triples in _clustering_terms(g):
-            d = math.gcd(t, triples * g.n_nodes)
-            row.append((t // d, triples * g.n_nodes // d))
-        return tuple(sorted(row))
-    return tuple(sorted(measure_values(g, fn)))
+        num = [0] * (n_edges + 1 - g.n_nodes) + num
+        den *= g.n_nodes
+    return ",".join([_ratio(x, den) for x in sorted(num)])
 
 
 def collision_report(fn: str, n_edges: int, keep_pairs: bool = True) -> CollisionReport:

@@ -92,12 +92,7 @@ class Graph:
             if (u, v) < prev:
                 raise GraphFormatError(f"graph {self.id!r}: edges not sorted")
             prev = (u, v)
-        if self.node_labels is not None and len(self.node_labels) != self.n_nodes:
-            raise GraphFormatError(f"graph {self.id!r}: node label count mismatch")
-        if self.edge_labels is not None and len(self.edge_labels) != len(self.edges):
-            raise GraphFormatError(f"graph {self.id!r}: edge label count mismatch")
-        for label in (self.node_labels or ()) + (self.edge_labels or ()):
-            _check_label(label)
+        _check_labels(self, f"graph {self.id!r}")
 
     @property
     def n_edges(self) -> int:
@@ -152,6 +147,17 @@ class ManifestEntry:
 def _check_label(label: str | None, line: int | None = None) -> None:
     if label is not None and ("," in label or "|" in label):  # hash-code key separators
         raise GraphFormatError(f"label {label!r} contains ',' or '|'", line)
+
+
+def _check_labels(g: Graph | Graphlet, what: str = "graphlet") -> None:
+    """Raise GraphFormatError unless g's labels, where present, are one
+    per node and one per edge and hold no key separator."""
+    if g.node_labels is not None and len(g.node_labels) != g.n_nodes:
+        raise GraphFormatError(f"{what}: node label count mismatch")
+    if g.edge_labels is not None and len(g.edge_labels) != len(g.edges):
+        raise GraphFormatError(f"{what}: edge label count mismatch")
+    for label in (g.node_labels or ()) + (g.edge_labels or ()):
+        _check_label(label)
 
 
 def _records(text: str) -> Iterator[tuple[int, str]]:

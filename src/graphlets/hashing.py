@@ -2,10 +2,10 @@
 
 Each code is built from one per-node topological measure (degree, core
 number, local clustering coefficient, or betweenness centrality),
-sorted into a canonical ascending vector. Fractional measures are kept
-as exact rationals (betweenness as integer numerators over one common
-denominator, clustering as triangle and triple counts), so codes never
-depend on float formatting. Labelled
+sorted into a canonical ascending vector. Every measure has one exact
+form, ``_numerators``: integer numerators in node order over one common
+denominator (1 for degree and core), so codes never depend on float
+formatting; ``measure_values`` is its ``Fraction`` view. Labelled
 graphlets additionally carry node/edge label signatures ordered by the
 measure-sorted node ranking. A code reads only a ``Graphlet``'s node
 count, local edges and labels, so sampled and enumerated graphlets hash
@@ -19,8 +19,9 @@ vocabulary entry and so the histogram bin:
 
 with rationals serialized ``num/den`` (``den`` omitted when 1, as
 ``str`` prints a ``Fraction``) and the label fields empty for unlabelled
-graphlets. Labels never hold ``,`` or ``|`` (a ``Graph`` rejects them,
-``hash_code`` a hand-built ``Graphlet``'s), so label signatures never merge.
+graphlets. Labels are one per node and one per edge and never hold
+``,`` or ``|`` (a ``Graph`` checks this, ``hash_code`` a hand-built
+``Graphlet``), so label signatures are never truncated and never merge.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .graphs import Graphlet, _check_label, adjacency_lists
+from .graphs import Graphlet, _check_labels, adjacency_lists
 
 HASH_FUNCTIONS = ("degree", "core", "clustering", "betweenness")  # cheapest first
 AUTO_THRESHOLD = 4  # auto: degree up to 4 edges, betweenness beyond
@@ -77,40 +78,6 @@ def core_values(g: Graphlet) -> list[int]:
     return core
 
 
-def _clustering_terms(g: Graphlet) -> list[tuple[int, int]]:
-    """Per-node local clustering coefficient as (triangles, triples),
-    in node order; (0, 1) for nodes of degree < 2.
-
-    A triangle through w is one edge (u, v) between two neighbours of w.
-    """
-    adj = [set(ns) for ns in adjacency_lists(g.n_nodes, g.edges)]
-    triangles = [0] * g.n_nodes
-    for u, v in g.edges:
-        for w in adj[u] & adj[v]:
-            triangles[w] += 1
-    return [(t, len(ns) * (len(ns) - 1) // 2) if len(ns) > 1 else (0, 1)
-            for t, ns in zip(triangles, adj)]
-
-
-def clustering_values(g: Graphlet) -> list[Fraction]:
-    """Per-node local clustering coefficients as exact rationals.
-
-    Ratio of triangles through the node to triples centred on it;
-    zero for nodes of degree < 2.
-    """
-    return [Fraction(t, triples) for t, triples in _clustering_terms(g)]
-
-
-def betweenness_values(g: Graphlet) -> list[Fraction]:
-    """Per-node betweenness centrality as exact rationals.
-
-    See ``_betweenness_numerators``, whose integers these are over one
-    common denominator.
-    """
-    num, den = _betweenness_numerators(g)
-    return [Fraction(x, den) for x in num]
-
-
 def _betweenness_numerators(g: Graphlet) -> tuple[list[int], int]:
     """Per-node betweenness as (numerators, one common denominator).
 
@@ -156,17 +123,38 @@ def _betweenness_numerators(g: Graphlet) -> tuple[list[int], int]:
     return num, den
 
 
-_VALUE_FUNCTIONS = {
-    "degree": degree_values,
-    "core": core_values,
-    "clustering": clustering_values,
-    "betweenness": betweenness_values,
-}
+def _numerators(fn: str, g: Graphlet) -> tuple[list[int], int]:
+    """Per-node values of a resolved hash function as (integer
+    numerators in node order, one common denominator).
+
+    Degree and core are integers over 1. A clustering coefficient is
+    triangles / triples, a triangle through w being one edge between two
+    neighbours of w, and a node of degree < 2 has 0 triangles over 1
+    triple; the numerators are triangles * (L / triples) over L, the lcm
+    of the triple counts. Betweenness is ``_betweenness_numerators``.
+    Over one denominator the numerators sort and tie as the values do.
+    """
+    if fn == "degree":
+        return degree_values(g), 1
+    if fn == "core":
+        return core_values(g), 1
+    if fn == "betweenness":
+        return _betweenness_numerators(g)
+    adj = [set(ns) for ns in adjacency_lists(g.n_nodes, g.edges)]
+    triangles = [0] * g.n_nodes
+    for u, v in g.edges:
+        for w in adj[u] & adj[v]:
+            triangles[w] += 1
+    triples = [len(ns) * (len(ns) - 1) // 2 or 1 for ns in adj]
+    den = math.lcm(*triples)
+    return [t * (den // p) for t, p in zip(triangles, triples)], den
 
 
 def measure_values(g: Graphlet, fn: str) -> list:
-    """Unsorted per-node values for a resolved hash function."""
-    return _VALUE_FUNCTIONS[fn](g)
+    """Unsorted per-node values of a resolved hash function: ints for
+    degree and core, exact ``Fraction``s for clustering and betweenness."""
+    num, den = _numerators(fn, g)
+    return num if fn in ("degree", "core") else [Fraction(x, den) for x in num]
 
 
 def _ratio(num: int, den: int) -> str:
@@ -176,16 +164,10 @@ def _ratio(num: int, den: int) -> str:
 
 
 def _measure_key(fn: str, g: Graphlet) -> tuple[tuple, str]:
-    """Per-node sort keys in node order, and the sorted vector as a code prints it.
-
-    Betweenness keys are the integer numerators over one common
-    denominator, so they sort and tie as the exact values do.
-    """
-    if fn == "betweenness":
-        num, den = _betweenness_numerators(g)
-        return tuple(num), ",".join([_ratio(x, den) for x in sorted(num)])
-    values = measure_values(g, fn)
-    return tuple(values), ",".join(map(str, sorted(values)))
+    """Per-node sort keys in node order (the ``_numerators``), and the
+    sorted vector as a code prints it."""
+    num, den = _numerators(fn, g)
+    return tuple(num), ",".join([_ratio(x, den) for x in sorted(num)])
 
 
 def _code(fn: str, g: Graphlet, measure: tuple[tuple, str]) -> str:
@@ -211,6 +193,5 @@ def _code(fn: str, g: Graphlet, measure: tuple[tuple, str]) -> str:
 def hash_code(g: Graphlet, fn: str = "auto") -> str:
     """Permutation-invariant code key of a graphlet under a hash function."""
     fn = resolve_hash_function(fn, g.n_edges)
-    for label in (g.node_labels or ()) + (g.edge_labels or ()):
-        _check_label(label)
+    _check_labels(g)
     return _code(fn, g, _measure_key(fn, g))

@@ -17,7 +17,6 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 from graphlets.graphs import Graphlet, edge_key
-from graphlets.hashing import measure_values
 from graphlets.sampling import run_seed
 
 
@@ -313,12 +312,23 @@ def reference_sample_run(graph, params, run_index):
     return tuple(order), tuple(snaps), len(snaps) < params.max_edges
 
 
+def reference_values(g, fn):
+    """Per-node values of a resolved hash function, in node order, from
+    the references here, not from the package: degrees counted from the
+    edge list, then ``core_by_threshold``, ``clustering_by_triple_scan``
+    and ``betweenness_all_pairs`` (``Fraction`` for the last two)."""
+    if fn == "degree":
+        return [len(ns) for ns in neighbour_sets(g)]
+    return {"core": core_by_threshold, "clustering": clustering_by_triple_scan,
+            "betweenness": betweenness_all_pairs}[fn](g)
+
+
 def reference_code_key(g, fn):
     """The package's former code key of a graphlet under a resolved hash
-    function: the exact values (``Fraction`` for betweenness and
-    clustering) sorted and printed with ``str``, labelled nodes ordered
-    by (value, label) and edge labels by the ranks of those classes."""
-    values = measure_values(g, fn)
+    function: the exact values (``reference_values``) sorted and printed
+    with ``str``, labelled nodes ordered by (value, label) and edge
+    labels by the ranks of those classes."""
+    values = reference_values(g, fn)
     topo_key = ",".join(map(str, sorted(values)))
     node_label_key = edge_label_key = ""
     if g.node_labels is not None or g.edge_labels is not None:
@@ -338,8 +348,9 @@ def reference_code_key(g, fn):
 def reference_audit_key(g, fn, n_edges):
     """The audit's former measurement key: the sorted exact values, the
     clustering coefficients divided by the node count and zero-filled on
-    the left to width n_edges + 1 (``Fraction`` rows)."""
-    values = measure_values(g, fn)
+    the left to width n_edges + 1 (``Fraction`` rows), from
+    ``reference_values``."""
+    values = reference_values(g, fn)
     if fn == "clustering":
         row = sorted(v / g.n_nodes for v in values)
         return tuple([0] * (n_edges + 1 - len(row)) + row)

@@ -326,7 +326,7 @@ def test_colliding_pairs_agree_with_pairwise_key_equality():
 @pytest.mark.parametrize("t", [5, 6, 7, 8, 9])
 def test_integer_report_keys_group_as_fraction_keys_do(t):
     reps = enumerate_connected(t)
-    for fn in ("clustering", "betweenness"):
+    for fn in HASH_FUNCTIONS:
         groups, reference = {}, {}
         for i, g in enumerate(reps):
             groups.setdefault(audit_code(g, fn, t), []).append(i)

@@ -358,7 +358,9 @@ def _embed_digests(tmp_path, name, graphs, entries, args):
 def test_embed_bytes_are_pinned(tmp_path, capsys):
     # sha256 prefixes of vocabulary.txt and embeddings.tsv, recorded from
     # the sampler that drew through randrange and built a Graphlet per
-    # step: unlabelled two-class, labelled, and per-size budgets.
+    # step: unlabelled two-class, labelled, and per-size budgets; the
+    # labelled clustering pin was recorded from the Fraction clustering
+    # values, before every measure became integer numerators.
     from graphlets import ManifestEntry
 
     graphs, entries = synth.two_class_dataset(20, random.Random(5))
@@ -371,6 +373,10 @@ def test_embed_bytes_are_pinned(tmp_path, capsys):
     assert _embed_digests(tmp_path, "lab", graphs, entries,
                           ["--T", "6", "--M", "30", "--seed", "7", "--labeled"]) == \
         ["a77d5efb68014fa8", "34b97d96358ba4f1"]
+    assert _embed_digests(tmp_path, "labc", graphs, entries,
+                          ["--T", "6", "--M", "30", "--seed", "7", "--labeled",
+                           "--hash", "clustering"]) == \
+        ["c4731fa05df070a2", "f8fd95383fec230b"]
     rng = random.Random(9)
     graphs = [random_connected_graph(f"p{i}", 10, 4, rng) for i in range(8)]
     entries = [ManifestEntry(g.id, f"c{i % 2}", "unsplit") for i, g in enumerate(graphs)]

@@ -8,13 +8,10 @@ from graphlets import (
     Graphlet,
     enumerate_connected,
     hash_code,
+    is_isomorphic,
     resolve_hash_function,
 )
-from graphlets.hashing import (
-    HASH_FUNCTIONS,
-    betweenness_values,
-    measure_values,
-)
+from graphlets.hashing import HASH_FUNCTIONS, measure_values
 
 from oracles import (
     betweenness_all_pairs,
@@ -72,8 +69,8 @@ def test_measures_agree_with_oracles_on_random_graphlets():
     rng = random.Random(21)
     for _ in range(100):
         g = random_graphlet(rng, max_edges=7)
-        assert betweenness_values(g) == betweenness_by_path_enumeration(g)
-        assert betweenness_values(g) == betweenness_all_pairs(g)
+        assert measure_values(g, "betweenness") == betweenness_by_path_enumeration(g)
+        assert measure_values(g, "betweenness") == betweenness_all_pairs(g)
         assert _sorted(g, "core") == sorted(core_by_threshold(g))
         assert _sorted(g, "clustering") == sorted(clustering_by_triple_scan(g))
         # per node too: labelled codes order nodes by their values
@@ -86,14 +83,14 @@ def test_brandes_betweenness_equals_references_on_all_classes_to_eight():
         for g in enumerate_connected(t):
             expected = betweenness_by_path_enumeration(g)
             assert betweenness_all_pairs(g) == expected
-            assert betweenness_values(g) == expected, (t, g.edges)
+            assert measure_values(g, "betweenness") == expected, (t, g.edges)
 
 
 def test_brandes_betweenness_equals_all_pairs_on_larger_graphlets():
     rng = random.Random(23)
     for _ in range(200):
         g = random_graphlet(rng, max_edges=16)
-        assert betweenness_values(g) == betweenness_all_pairs(g), g.edges
+        assert measure_values(g, "betweenness") == betweenness_all_pairs(g), g.edges
 
 
 def test_fractional_measures_stay_exact():
@@ -120,9 +117,9 @@ def test_format_value():
 
 
 def test_code_keys_equal_the_fraction_path():
-    # Betweenness keys are printed from integer numerators over one
-    # common denominator, and labelled graphlets take their measure
-    # vector from a per-topology cache; both must give the former keys.
+    # Codes are printed from integer numerators over one common
+    # denominator; they must equal the former keys, printed from the
+    # references' int and Fraction values.
     graphlets = [g for t in range(1, 9) for g in enumerate_connected(t)]
     rng = random.Random(31)
     graphlets += [random_graphlet(rng, max_edges=8, labeled=i % 2 == 0) for i in range(500)]
@@ -139,13 +136,28 @@ def test_hash_code_key_grammar():
 
 
 def test_hand_built_graphlet_labels_with_key_separators_rejected():
-    # both would otherwise hash to '1|degree|1,1|a,b,c|'
+    # the first two would otherwise hash to '1|degree|1,1|a,b,c|'
     for node_labels, edge_labels in ((("a,b", "c"), None),
                                      (("a", "b,c"), None),
                                      (("a", "b"), ("x|y",))):
         g = Graphlet(2, ((0, 1),), node_labels, edge_labels)
         with pytest.raises(GraphFormatError, match=r"^label .* contains"):
             hash_code(g, "degree")
+        with pytest.raises(GraphFormatError, match=r"^label .* contains"):
+            is_isomorphic(g, g)
+    # labels that are not one per node and one per edge would otherwise
+    # hash to a truncated code ('1|degree|1,1|a|' for the first)
+    for n_nodes, node_labels, edge_labels in ((2, ("a",), None),
+                                              (2, ("a", "b", "c"), None),
+                                              (2, None, ("x", "y")),
+                                              (2, ("a", "b"), ()),
+                                              (3, ("a", "b", "c", "d"), ("x", "y"))):
+        edges = ((0, 1),) if n_nodes == 2 else ((0, 1), (1, 2))
+        g = Graphlet(n_nodes, edges, node_labels, edge_labels)
+        with pytest.raises(GraphFormatError, match="label count mismatch"):
+            hash_code(g, "degree")
+        with pytest.raises(ValueError, match="label count mismatch"):
+            is_isomorphic(g, g)
 
 
 def test_labeled_node_part_is_storage_order_independent():
