@@ -12,6 +12,7 @@ reports are validated against were taken. Every measure is read in the
 one integer form of :mod:`graphlets.hashing`, integer numerators over
 one common denominator, and the fractional ones group on that vector as
 a code prints it, never on ``Fraction`` objects (see ``audit_code``).
+A report builds its one ``Fraction``, ``e_f``, only when that is read.
 The embedding codes produced by :mod:`graphlets.hashing`
 key on the exact vectors plus label signatures and are at least as
 fine, so their real collision rate is bounded by the reported one.
@@ -35,8 +36,6 @@ part in a search, and drops them all when it returns;
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from typing import Iterator, NamedTuple
@@ -266,8 +265,7 @@ def enumerate_connected(n_edges: int) -> tuple[Graphlet, ...]:
     return tuple(reps)
 
 
-@dataclass(frozen=True)
-class CollisionReport:
+class CollisionReport(NamedTuple):
     """Collision statistics of one hash function at one graphlet size."""
 
     fn: str
@@ -275,8 +273,13 @@ class CollisionReport:
     n_graphs: int
     n_pairs: int
     n_collisions: int
-    e_f: Fraction
     colliding_pairs: tuple[tuple[Graphlet, Graphlet], ...]
+
+    @property
+    def e_f(self) -> Fraction:
+        """The collision rate n_collisions / n_pairs, 0 without pairs."""
+        from fractions import Fraction
+        return Fraction(self.n_collisions, self.n_pairs or 1)
 
 
 def audit_code(g: Graphlet, fn: str, n_edges: int) -> tuple | str:
@@ -316,30 +319,23 @@ def collision_report(fn: str, n_edges: int, keep_pairs: bool = True) -> Collisio
     if keep_pairs:
         for members in sorted(m for m in groups.values() if len(m) > 1):
             pairs.extend((reps[i], reps[j]) for i, j in combinations(members, 2))
-    e_f = Fraction(n_collisions, n_pairs) if n_pairs else Fraction(0)
-    return CollisionReport(resolved, n_edges, n, n_pairs, n_collisions, e_f, tuple(pairs))
+    return CollisionReport(resolved, n_edges, n, n_pairs, n_collisions, tuple(pairs))
 
 
 def format_report(report: CollisionReport) -> str:
-    """TSV report plus the colliding pairs as graph transaction blocks."""
+    """TSV report plus the colliding pairs as graph transaction blocks;
+    both e_f columns are printed from the two ints, not the ``Fraction``."""
+    fn, t, n_graphs, n_pairs, n_collisions, pairs = report
+    rate = n_collisions / (n_pairs or 1)  # rounded as float(report.e_f) is
     lines = [
         "fn\tt\tn_graphs\tn_pairs\tn_collisions\te_f\te_f_5dp",
-        "{}\t{}\t{}\t{}\t{}\t{}\t{:.5f}".format(
-            report.fn,
-            report.n_edges,
-            report.n_graphs,
-            report.n_pairs,
-            report.n_collisions,
-            report.e_f,
-            float(report.e_f),
-        ),
+        f"{fn}\t{t}\t{n_graphs}\t{n_pairs}\t{n_collisions}\t"
+        f"{_ratio(n_collisions, n_pairs or 1)}\t{rate:.5f}",
     ]
-    for k, pair in enumerate(report.colliding_pairs):
-        stem = f"{report.fn}-t{report.n_edges}-pair{k}"
+    for k, pair in enumerate(pairs):
         lines.append(f"# colliding pair {k}")
         for side, a in zip("ab", pair):
-            g = Graph(f"{stem}-{side}", a.n_nodes, a.edges, a.node_labels, a.edge_labels)
-            lines.append(serialize_graph(g).rstrip("\n"))
+            lines.append(serialize_graph(Graph(f"{fn}-t{t}-pair{k}-{side}", *a)).rstrip("\n"))
     return "\n".join(lines) + "\n"
 
 

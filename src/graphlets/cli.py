@@ -200,7 +200,7 @@ def cmd_embed(args) -> int:
                     f"--labeled given but graph {g.id!r} carries no labels"
                 )
         else:
-            g = g.without_labels()
+            g = g._replace(node_labels=None, edge_labels=None)
         if g.n_edges == 0:
             raise GraphFormatError(f"graph {g.id!r} has no edges")
         selected.append(g)

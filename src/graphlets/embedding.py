@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import sys
 from collections import Counter
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .graphs import Graph, GraphFormatError
 from .hashing import _code, _measure_key, hash_code, resolve_hash_function
@@ -28,8 +27,7 @@ from .sampling import sample_all  # noqa: F401  (not called here; the benchmark 
 _FLOAT_MAX = sys.float_info.max  # the kernels compute in doubles
 
 
-@dataclass(frozen=True)
-class Embedding:
+class Embedding(NamedTuple):
     """Histogram of one graph aligned to a vocabulary.
 
     ``oov_count`` tallies sampled codes that fell outside the

@@ -26,7 +26,7 @@ lines; every parse error names its line in the file.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from typing import IO, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -59,24 +59,35 @@ def adjacency_lists(
     return tuple(tuple(sorted(ns)) for ns in nbrs)
 
 
-@dataclass(frozen=True)
-class Graph:
+class _Checked:
+    """Base of a named tuple that checks its fields with ``_check`` on
+    every construction: a call, ``_make``, ``_replace`` and unpickling."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self._check()
+        return self
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)  # a bare named tuple's _make, and so _replace, skips __new__
+
+
+class Graph(_Checked, namedtuple("Graph", "id n_nodes edges node_labels edge_labels",
+                                 defaults=(None, None))):
     """Simple undirected graph with optional node/edge labels.
 
     Nodes are the integers ``0..n_nodes-1``. Edges are stored sorted as
     ``(u, v)`` pairs with ``u < v``. ``node_labels`` and ``edge_labels``
     are either None (unlabelled) or tuples aligned with node indices
     and ``edges`` respectively. Construction checks these invariants and
-    the label rule, raising GraphFormatError.
+    the label rule, raising GraphFormatError. ``adjacency`` and
+    ``edge_index`` are cached in the graph's ``__dict__``.
     """
 
-    id: str
-    n_nodes: int
-    edges: tuple[tuple[int, int], ...]
-    node_labels: tuple[str, ...] | None = None
-    edge_labels: tuple[str, ...] | None = None
-
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.n_nodes < 1:
             raise GraphFormatError(f"graph {self.id!r} has no nodes")
         prev = (-1, -1)  # edges are sorted, so a duplicate follows its twin
@@ -111,12 +122,6 @@ class Graph:
             return None
         return self.edge_labels[self.edge_index[edge_key(u, v)]]
 
-    def without_labels(self) -> "Graph":
-        """Structural copy with all labels dropped."""
-        if self.node_labels is None and self.edge_labels is None:
-            return self
-        return Graph(self.id, self.n_nodes, self.edges)
-
 
 class Graphlet(NamedTuple):
     """Connected subgraph over local nodes 0..n_nodes-1.
@@ -137,8 +142,7 @@ class Graphlet(NamedTuple):
         return len(self.edges)
 
 
-@dataclass(frozen=True)
-class ManifestEntry:
+class ManifestEntry(NamedTuple):
     graph_id: str
     class_label: str
     split: str

@@ -5,7 +5,8 @@ number, local clustering coefficient, or betweenness centrality),
 sorted into a canonical ascending vector. Every measure has one exact
 form, ``_numerators``: integer numerators in node order over one common
 denominator (1 for degree and core), so codes never depend on float
-formatting; ``measure_values`` is its ``Fraction`` view. Labelled
+formatting; ``measure_values`` is its ``Fraction`` view, and the only
+code here that builds a ``Fraction`` or imports ``fractions``. Labelled
 graphlets additionally carry node/edge label signatures ordered by the
 measure-sorted node ranking. A code reads only a ``Graphlet``'s node
 count, local edges and labels, so sampled and enumerated graphlets hash
@@ -27,7 +28,6 @@ graphlets. Labels are one per node and one per edge and never hold
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .graphs import Graphlet, _check_labels, adjacency_lists
 
@@ -154,7 +154,10 @@ def measure_values(g: Graphlet, fn: str) -> list:
     """Unsorted per-node values of a resolved hash function: ints for
     degree and core, exact ``Fraction``s for clustering and betweenness."""
     num, den = _numerators(fn, g)
-    return num if fn in ("degree", "core") else [Fraction(x, den) for x in num]
+    if fn in ("degree", "core"):
+        return num
+    from fractions import Fraction  # here only, so a CLI start does not load it
+    return [Fraction(x, den) for x in num]
 
 
 def _ratio(num: int, den: int) -> str:

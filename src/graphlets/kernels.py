@@ -8,19 +8,18 @@ package (and running the commands that need no kernel) does not load it.
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from typing import Sequence
+
+from .graphs import _Checked
 
 KERNEL_KINDS = ("dot", "rbf", "hist_intersection", "cosine")
 
 
-@dataclass(frozen=True)
-class KernelSpec:
-    kind: str
-    gamma: float | None = None
+class KernelSpec(_Checked, namedtuple("KernelSpec", "kind gamma", defaults=(None,))):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.kind not in KERNEL_KINDS:
             raise ValueError(f"unknown kernel kind {self.kind!r}")
         if self.kind == "rbf":
@@ -51,7 +50,8 @@ def _rows(x: np.ndarray, block: np.ndarray, spec: KernelSpec) -> np.ndarray:
 
 
 def kernel_matrix(vectors, spec: KernelSpec) -> np.ndarray:
-    """Dense symmetric kernel matrix; K[i][j] == K[j][i] exactly."""
+    """Dense symmetric kernel matrix; K[i][j] == K[j][i] exactly. Raises
+    ValueError unless every entry is finite (huge cells can overflow)."""
     if len(vectors) == 0:
         raise ValueError("no embeddings given")
     import numpy as np
@@ -60,10 +60,13 @@ def kernel_matrix(vectors, spec: KernelSpec) -> np.ndarray:
         raise ValueError("embeddings must share a common vector length")
     n = X.shape[0]
     K = np.empty((n, n))
-    for i in range(n):
-        row = _rows(X[i], X[i:], spec)
-        K[i, i:] = row
-        K[i:, i] = row
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        for i in range(n):
+            row = _rows(X[i], X[i:], spec)
+            K[i, i:] = row
+            K[i:, i] = row
+    if not np.isfinite(K).all():
+        raise ValueError("the kernel matrix has entries that are not finite numbers")
     return K
 
 
@@ -111,8 +114,8 @@ def loo_knn_accuracy(K, labels: Sequence[str], k: int) -> float:
     return correct / len(top)
 
 
-@dataclass(frozen=True)
-class RankingPair:
+class RankingPair(_Checked, namedtuple(
+        "RankingPair", "truth_rank_of_system_top system_rank_of_truth_top")):
     """Mutual top-rank positions between a system and the ground truth.
 
     truth_rank_of_system_top: rank (1-based) the ground truth gives to
@@ -121,19 +124,17 @@ class RankingPair:
         truth's top category.
     """
 
-    truth_rank_of_system_top: int
-    system_rank_of_truth_top: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.truth_rank_of_system_top < 1 or self.system_rank_of_truth_top < 1:
             raise ValueError("ranks are 1-based and must be >= 1")
 
 
 def rho_score(pair: RankingPair) -> float:
     """Mutual rank agreement: (1/r1 + 1/r2) / 2, in (0, 1]."""
-    return 0.5 * (
-        1.0 / pair.truth_rank_of_system_top + 1.0 / pair.system_rank_of_truth_top
-    )
+    r1, r2 = pair
+    return 0.5 * (1.0 / r1 + 1.0 / r2)
 
 
 def ranking_pair(

@@ -30,10 +30,10 @@ import hashlib
 import math
 import random
 from bisect import bisect_left
-from dataclasses import dataclass, replace
-from typing import Iterator
+from collections import namedtuple
+from typing import Iterator, NamedTuple
 
-from .graphs import Graph, Graphlet
+from .graphs import Graph, Graphlet, _Checked
 
 # Non-isomorphic connected simple graphs with 1..10 edges (OEIS A002905).
 CONNECTED_GRAPH_COUNTS = (1, 1, 3, 5, 12, 30, 79, 227, 710, 2322)
@@ -73,8 +73,8 @@ def sample_size(support_size: int, epsilon: float, delta: float) -> int:
         raise ValueError("the walk budget is not a finite number") from None
 
 
-@dataclass(frozen=True)
-class SamplerParams:
+class SamplerParams(_Checked, namedtuple("SamplerParams", "runs max_edges alpha seed",
+                                         defaults=(0.5, 0))):
     """Walk configuration.
 
     runs: number of independent walks.
@@ -84,12 +84,9 @@ class SamplerParams:
     seed: master seed all per-run streams are derived from.
     """
 
-    runs: int
-    max_edges: int
-    alpha: float = 0.5
-    seed: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.runs < 1:
             raise ValueError(f"runs must be >= 1, got {self.runs}")
         if self.max_edges < 1:
@@ -100,8 +97,7 @@ class SamplerParams:
             raise ValueError("seed must be a nonnegative integer")
 
 
-@dataclass(frozen=True)
-class RunTrace:
+class RunTrace(NamedTuple):
     """One walk: ``graphlets[i]`` is the graphlet with i+1 edges.
 
     ``order`` lists the parent-graph node behind each local node, so
@@ -294,4 +290,4 @@ def sample_all(graph: Graph, params: SamplerParams, run_offset: int = 0) -> list
 
 def sample_run(graph: Graph, params: SamplerParams, run_index: int) -> RunTrace:
     """The one run with index ``run_index``."""
-    return sample_all(graph, replace(params, runs=1), run_index)[0]
+    return sample_all(graph, params._replace(runs=1), run_index)[0]

@@ -206,6 +206,21 @@ def test_non_finite_embedding_cells_exit_two(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_kernels_that_are_not_finite_exit_two(tmp_path, capsys):
+    # finite cells whose products or sums overflow a double
+    emb = _write(tmp_path, "e.tsv",
+                 "graph_id\tbin0\tbin1\ng0\t1e308\t1e308\ng1\t1e308\t1e308\ng2\t1\t0\n")
+    manifest = _write(tmp_path, "m.tsv", "g0\ta\tunsplit\ng1\ta\tunsplit\ng2\tb\tunsplit\n")
+    out = tmp_path / "out"
+    for command in (["kernel", "--kind", "dot"], ["kernel", "--kind", "hist-int"],
+                    ["kernel", "--kind", "cosine"], ["knn", "--k", "1"]):
+        assert main(command + ["--embeddings", emb, "--manifest", manifest,
+                               "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: the kernel matrix has entries that are not finite numbers\n")
+    assert not out.exists()
+
+
 def test_embed_labels_with_key_separators_exit_two(tmp_path, capsys):
     manifest = _write(tmp_path, "m.tsv", "g0\tc\tunsplit\n")
     out = tmp_path / "out"
@@ -508,7 +523,7 @@ _STARTUP_MODULES = """
 import contextlib, io, json, sys
 from graphlets.cli import main
 heavy = ["graphlets.sampling", "graphlets.embedding", "graphlets.kernels", "numpy",
-         "concurrent.futures.process"]
+         "concurrent.futures.process", "dataclasses", "fractions"]
 seen = []
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):

@@ -1,4 +1,5 @@
 import io
+import pickle
 import random
 
 import pytest
@@ -145,20 +146,27 @@ def test_degree_sum_equals_twice_edges():
 
 
 def test_validate_catches_direct_construction_errors():
-    with pytest.raises(GraphFormatError, match="has no nodes"):
-        Graph("bad", 0, ())
-    with pytest.raises(GraphFormatError, match="self-loop"):
-        Graph("bad", 2, ((0, 0),))
-    with pytest.raises(GraphFormatError, match="duplicate edge"):
-        Graph("bad", 2, ((0, 1), (0, 1)))
-    with pytest.raises(GraphFormatError, match="out of range"):
-        Graph("bad", 2, ((0, 2),))
-    with pytest.raises(GraphFormatError, match="not sorted"):
-        Graph("bad", 3, ((1, 2), (0, 1)))
-    with pytest.raises(GraphFormatError, match="node label count"):
-        Graph("bad", 2, ((0, 1),), node_labels=("A",))
-    with pytest.raises(GraphFormatError, match="edge label count"):
-        Graph("bad", 2, ((0, 1),), edge_labels=())
+    valid = Graph("ok", 2, ((0, 1),), ("A", "B"), ("x",))
+    cases = [
+        ("has no nodes", ("bad", 0, ())),
+        ("self-loop", ("bad", 2, ((0, 0),))),
+        ("duplicate edge", ("bad", 2, ((0, 1), (0, 1)))),
+        ("out of range", ("bad", 2, ((0, 2),))),
+        ("not sorted", ("bad", 3, ((1, 2), (0, 1)))),
+        ("node label count", ("bad", 2, ((0, 1),), ("A",))),
+        ("edge label count", ("bad", 2, ((0, 1),), None, ())),
+    ]
+    for match, fields in cases:
+        fields += (None,) * (5 - len(fields))
+        # a call, _make, and _replace on a valid graph all run the checks
+        for build in (lambda: Graph(*fields), lambda: Graph._make(fields),
+                      lambda: valid._replace(**dict(zip(Graph._fields, fields)))):
+            with pytest.raises(GraphFormatError, match=match):
+                build()
+    assert valid.edge_label(1, 0) == "x"  # caches edge_index on the graph
+    copy = pickle.loads(pickle.dumps(valid))  # how a --threads 2 pool ships graphs
+    assert copy == valid and type(copy) is Graph
+    assert copy.adjacency == ((1,), (0,)) and copy.edge_label(0, 1) == "x"
 
 
 def test_manifest_round_trip_and_errors():

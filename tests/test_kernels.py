@@ -39,17 +39,17 @@ def test_kernel_value_examples():
 
 
 def test_kernel_spec_validation():
-    with pytest.raises(ValueError):
-        KernelSpec("poly")
-    with pytest.raises(ValueError):
-        KernelSpec("rbf")
-    with pytest.raises(ValueError):
-        KernelSpec("rbf", gamma=-1.0)
-    with pytest.raises(ValueError):
-        KernelSpec("dot", gamma=0.5)
-    for gamma in (float("nan"), float("inf")):  # all-NaN or NaN-diagonal matrices
-        with pytest.raises(ValueError, match="finite"):
-            KernelSpec("rbf", gamma=gamma)
+    valid = KernelSpec("rbf", gamma=0.5)
+    nan, inf = float("nan"), float("inf")  # all-NaN or NaN-diagonal matrices
+    for kind, gamma, match in [("poly", None, None), ("rbf", None, None), ("rbf", -1.0, None),
+                               ("dot", 0.5, None), ("rbf", nan, "finite"),
+                               ("rbf", inf, "finite")]:
+        # a call, _make, and _replace on a valid spec all run the checks
+        for build in (lambda: KernelSpec(kind, gamma=gamma),
+                      lambda: KernelSpec._make((kind, gamma)),
+                      lambda: valid._replace(kind=kind, gamma=gamma)):
+            with pytest.raises(ValueError, match=match):
+                build()
 
 
 def test_length_mismatch_rejected():
@@ -203,8 +203,11 @@ def test_rho_examples():
     assert rho_score(RankingPair(1, 1)) == 1.0
     assert rho_score(RankingPair(2, 1)) == 0.75
     assert rho_score(RankingPair(4, 4)) == 0.25
-    with pytest.raises(ValueError):
-        RankingPair(0, 1)
+    valid = RankingPair(1, 1)
+    for build in (lambda: RankingPair(0, 1), lambda: RankingPair._make((0, 1)),
+                  lambda: valid._replace(truth_rank_of_system_top=0)):
+        with pytest.raises(ValueError):
+            build()
 
 
 def test_ranking_pair_from_rankings():

@@ -125,7 +125,7 @@ def _label_variants(g):
         g,
         Graph(g.id, g.n_nodes, g.edges, g.node_labels, None),
         Graph(g.id, g.n_nodes, g.edges, None, g.edge_labels),
-        g.without_labels(),
+        Graph(g.id, g.n_nodes, g.edges),
     ]
 
 
@@ -187,12 +187,14 @@ def test_edgeless_graph_rejected():
 
 
 def test_param_validation():
-    with pytest.raises(ValueError):
-        SamplerParams(runs=0, max_edges=1)
-    with pytest.raises(ValueError):
-        SamplerParams(runs=1, max_edges=0)
-    with pytest.raises(ValueError):
-        SamplerParams(runs=1, max_edges=1, alpha=1.5)
+    valid = SamplerParams(runs=1, max_edges=1)
+    for bad in ({"runs": 0}, {"max_edges": 0}, {"alpha": 1.5}, {"seed": -1}):
+        fields = {**valid._asdict(), **bad}
+        # a call, _make, and _replace on valid parameters all run the checks
+        for build in (lambda: SamplerParams(**fields), lambda: valid._replace(**bad),
+                      lambda: SamplerParams._make(fields.values())):
+            with pytest.raises(ValueError):
+                build()
     with pytest.raises(ValueError):
         sample_run(K2, SamplerParams(runs=1, max_edges=1), -1)
 
