@@ -20,6 +20,7 @@ import argparse
 import os
 import sys
 from importlib import import_module
+from itertools import accumulate
 
 from . import __version__
 from .graphs import GraphFormatError, _records, load_graphs, load_manifest, resolve_manifest
@@ -124,9 +125,22 @@ def _sample_size(args, support: int) -> int:
     return sample_size(support, args.epsilon, args.delta)
 
 
-def _resolve_budgets(args) -> list[tuple[int, int, int, int]]:
-    """(runs, max_edges, min_edges, run_offset) batches per graph."""
+def _support(args, t: int) -> int:
+    if args.a_override is not None:
+        return args.a_override
+    try:
+        return connected_graph_count(t)
+    except ValueError:
+        raise UsageError(
+            f"embed: no built-in class count for t={t}; supply --a-override"
+        ) from None
+
+
+def _batches(args) -> list[tuple[SamplerParams, int, int]]:
+    """(SamplerParams, min_edges, run_offset) batches each graph's walks run in."""
     _bind("sampling")
+    if args.t_min < 1 or args.t_min > args.T:
+        raise UsageError("embed: --t-min must be in 1..T")
     explicit = args.M is not None
     derived = args.epsilon is not None or args.delta is not None
     if explicit == derived:
@@ -137,37 +151,23 @@ def _resolve_budgets(args) -> list[tuple[int, int, int, int]]:
         raise UsageError("embed: --epsilon and --delta must be given together")
     if explicit and args.a_override is not None:
         raise UsageError("embed: --a-override only applies with --epsilon/--delta")
-
-    def support(t: int) -> int:
-        if args.a_override is not None:
-            return args.a_override
-        try:
-            return connected_graph_count(t)
-        except ValueError:
-            raise UsageError(
-                f"embed: no built-in class count for t={t}; supply --a-override"
-            ) from None
-
-    if explicit:
-        if args.per_size_m:
-            raise UsageError("embed: --per-size-m requires --epsilon/--delta")
-        batches = [(args.M, args.T, args.t_min, 0)]
-    elif not args.per_size_m:
-        runs = _sample_size(args, support(args.T))
-        batches = [(runs, args.T, args.t_min, 0)]
-    else:
-        if args.a_override is not None:
-            raise UsageError("embed: --a-override is incompatible with --per-size-m")
-        batches = []
-        offset = 0
-        for t in range(args.t_min, args.T + 1):
-            runs = _sample_size(args, support(t))
-            batches.append((runs, t, t, offset))
-            offset += runs
-    for runs, *_ in batches:
-        if runs > MAX_RUNS:
-            raise ValueError(f"embed: the walk budget exceeds {MAX_RUNS} walks per graph")
-    return batches
+    if explicit and args.per_size_m:
+        raise UsageError("embed: --per-size-m requires --epsilon/--delta")
+    if args.per_size_m and args.a_override is not None:
+        raise UsageError("embed: --a-override is incompatible with --per-size-m")
+    sizes = ([(t, t) for t in range(args.t_min, args.T + 1)] if args.per_size_m
+             else [(args.T, args.t_min)])  # (max_edges, min_edges) of each batch
+    budgets = [args.M if explicit else _sample_size(args, _support(args, t))
+               for t, _ in sizes]
+    # every budget is bounded first: this data error precedes a bad --alpha
+    if max(budgets) > MAX_RUNS:
+        raise ValueError(f"embed: the walk budget exceeds {MAX_RUNS} walks per graph")
+    try:
+        return [(SamplerParams(runs, max_edges, args.alpha, args.seed), min_edges, offset)
+                for runs, (max_edges, min_edges), offset
+                in zip(budgets, sizes, accumulate(budgets, initial=0))]
+    except ValueError as exc:
+        raise UsageError(f"embed: {exc}") from None
 
 
 def cmd_sample_size(args) -> int:
@@ -177,16 +177,8 @@ def cmd_sample_size(args) -> int:
 
 
 def cmd_embed(args) -> int:
-    _bind("sampling", "embedding")
-    if args.t_min < 1 or args.t_min > args.T:
-        raise UsageError("embed: --t-min must be in 1..T")
-    batches = _resolve_budgets(args)
-    try:
-        samplers = [(SamplerParams(runs, max_edges, args.alpha, args.seed), min_edges, offset)
-                    for runs, max_edges, min_edges, offset in batches]
-    except ValueError as exc:
-        raise UsageError(f"embed: {exc}") from None
-
+    batches = _batches(args)
+    _bind("embedding")
     graphs = load_graphs(args.graphs)
     manifest = load_manifest(args.manifest)
     by_id = resolve_manifest(manifest, graphs)
@@ -205,7 +197,7 @@ def cmd_embed(args) -> int:
             raise GraphFormatError(f"graph {g.id!r} has no edges")
         selected.append(g)
 
-    jobs = [(g, samplers, args.hash) for g in selected]
+    jobs = [(g, batches, args.hash) for g in selected]
     results = _pmap(_embed_worker, jobs, args.threads)
     # Every graph is embedded: the rows below reuse the walk states' memory.
     clear_states()
@@ -217,7 +209,7 @@ def cmd_embed(args) -> int:
         vocab_maps = [counts for gid, counts, _ in results if gid in train_ids]
     vocab = build_vocabulary(vocab_maps)
 
-    runs_total = sum(b[0] for b in batches)
+    runs_total = sum(params.runs for params, _, _ in batches)
     embeddings = finalize_embeddings(
         [(gid, counts) for gid, counts, _ in results], vocab
     )
@@ -241,30 +233,24 @@ def cmd_embed(args) -> int:
     return 0
 
 
-def _load_labels(manifest_path: str | None, ids: list[str]) -> list[str]:
-    if manifest_path is None:
-        return ["0"] * len(ids)
-    entries = load_manifest(manifest_path)
-    by_id = {e.graph_id: e.class_label for e in entries}
+def _kernel(args) -> tuple:
+    """(ids, class labels, kernel matrix) of --embeddings; labels are 0 without --manifest."""
+    _bind("embedding", "kernels")
+    try:
+        spec = KernelSpec(_KIND_BY_FLAG[args.kind], args.gamma)
+    except ValueError as exc:
+        raise UsageError(f"{args.command}: {exc}") from None
+    ids, rows = read_embeddings(args.embeddings)
+    by_id = (dict.fromkeys(ids, "0") if args.manifest is None
+             else {e.graph_id: e.class_label for e in load_manifest(args.manifest)})
     missing = [gid for gid in ids if gid not in by_id]
     if missing:
         raise GraphFormatError(f"embeddings not covered by manifest: {missing}")
-    return [by_id[gid] for gid in ids]
-
-
-def _kernel_spec(args) -> KernelSpec:
-    try:
-        return KernelSpec(_KIND_BY_FLAG[args.kind], args.gamma)
-    except ValueError as exc:
-        raise UsageError(f"{args.command}: {exc}") from None
+    return ids, [by_id[gid] for gid in ids], kernel_matrix(rows, spec)
 
 
 def cmd_kernel(args) -> int:
-    _bind("embedding", "kernels")
-    spec = _kernel_spec(args)
-    ids, rows = read_embeddings(args.embeddings)
-    labels = _load_labels(args.manifest, ids)
-    K = kernel_matrix(rows, spec)
+    ids, labels, K = _kernel(args)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "kernel.txt")
     write_precomputed_kernel(K, labels, path)
@@ -273,11 +259,7 @@ def cmd_kernel(args) -> int:
 
 
 def cmd_knn(args) -> int:
-    _bind("embedding", "kernels")
-    spec = _kernel_spec(args)
-    ids, rows = read_embeddings(args.embeddings)
-    labels = _load_labels(args.manifest, ids)
-    K = kernel_matrix(rows, spec)
+    _, labels, K = _kernel(args)
     hits = knn_retrieval_scores(K, labels, args.k)
     accuracy = loo_knn_accuracy(K, labels, args.k)
     os.makedirs(args.out, exist_ok=True)

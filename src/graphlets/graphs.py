@@ -3,7 +3,8 @@
 A transaction file stores one or more graphs in a line-oriented text
 format:
 
-    t <graph_id>            starts a new graph
+    t <graph_id>            starts a new graph; the id is one token that
+                            does not start with ``#``
     v <node_id> [<label>]   node declaration, ids must cover 0..n-1
     e <u> <v> [<label>]     undirected edge between declared nodes
     # ...                   comment, ignored
@@ -82,12 +83,13 @@ class Graph(_Checked, namedtuple("Graph", "id n_nodes edges node_labels edge_lab
     Nodes are the integers ``0..n_nodes-1``. Edges are stored sorted as
     ``(u, v)`` pairs with ``u < v``. ``node_labels`` and ``edge_labels``
     are either None (unlabelled) or tuples aligned with node indices
-    and ``edges`` respectively. Construction checks these invariants and
-    the label rule, raising GraphFormatError. ``adjacency`` and
+    and ``edges`` respectively. Construction checks these invariants, the
+    id rule and the label rule, raising GraphFormatError. ``adjacency`` and
     ``edge_index`` are cached in the graph's ``__dict__``.
     """
 
     def _check(self) -> None:
+        _check_id(self.id)
         if self.n_nodes < 1:
             raise GraphFormatError(f"graph {self.id!r} has no nodes")
         prev = (-1, -1)  # edges are sorted, so a duplicate follows its twin
@@ -146,6 +148,16 @@ class ManifestEntry(NamedTuple):
     graph_id: str
     class_label: str
     split: str
+
+
+def _check_id(graph_id: str, line: int | None = None) -> None:
+    """Raise GraphFormatError unless graph_id is one token (not empty, no
+    whitespace) that does not start with ``#``, which a manifest reads as a
+    comment: the ids a ``t`` line and a manifest line can both carry."""
+    if str(graph_id).split() != [graph_id] or graph_id.startswith("#"):
+        raise GraphFormatError(
+            f"graph id {graph_id!r} must be one token that does not start with '#'", line
+        )
 
 
 def _check_label(label: str | None, line: int | None = None) -> None:
@@ -225,6 +237,7 @@ def parse_graph_file(source: str | IO[str]) -> list[Graph]:
         if kind == "t":
             if current is not None:
                 graphs.append(_finish(*current))
+            _check_id(args[0], line_no)
             if args[0] in seen_ids:
                 raise GraphFormatError(f"duplicate graph id {args[0]!r}", line_no)
             seen_ids.add(args[0])

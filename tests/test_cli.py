@@ -78,6 +78,7 @@ def test_usage_errors_exit_one(tmp_path, capsys):
                       (["--M", "5", "--alpha", "nan"], "alpha"),
                       (["--M", "5", "--seed", "-1"], "seed"),
                       (["--M", "0"], "runs"),
+                      (["--M", "5", "--per-size-m"], "--per-size-m requires"),
                       (budget + ["--a-override", "0"], "--a-override"),
                       (budget + ["--a-override", "-3"], "--a-override"),
                       (["--epsilon", "2", "--delta", "0.1"], "embed: epsilon"),
@@ -117,6 +118,20 @@ def test_data_errors_exit_two(tmp_path, capsys):
                  "--T", "3", "--M", "2"]) == 2
     err = capsys.readouterr().err
     assert "line 3" in err
+    edgeless = _write(tmp_path, "edgeless.graphs", "t tri\nv 0\n")
+    assert main(["embed", "--graphs", edgeless, "--manifest", manifest,
+                 "--T", "3", "--M", "2"]) == 2
+    assert capsys.readouterr().err == "error: graph 'tri' has no edges\n"
+    # a '#x' manifest line is a comment, so graph '#x' would drop out of the embed
+    hashed = _write(tmp_path, "hashed.graphs", "t #x\nv 0\nv 1\ne 0 1\n"
+                                               "t y\nv 0\nv 1\ne 0 1\n")
+    both = _write(tmp_path, "both.tsv", "#x\tc\tunsplit\ny\tc\tunsplit\n")
+    out = tmp_path / "out"
+    assert main(["embed", "--graphs", hashed, "--manifest", both, "--T", "1", "--M", "2",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: line 1: graph id '#x' must be one token that does not start with '#'\n")
+    assert not out.exists()
     # walk budgets that are not finite numbers
     for a, epsilon, delta in (("79", "1e-200", "0.1"),  # epsilon^2 underflows to 0
                               ("79", "0.1", "1e-320"),  # 1/delta overflows
@@ -125,7 +140,6 @@ def test_data_errors_exit_two(tmp_path, capsys):
                      "--delta", delta]) == 2
         assert capsys.readouterr().err == "error: the walk budget is not a finite number\n"
     graphs = _write(tmp_path, "g.txt", TRIANGLE_TXT)
-    out = tmp_path / "out"
     assert main(["embed", "--graphs", graphs, "--manifest", manifest, "--T", "3",
                  "--epsilon", "1e-200", "--delta", "0.1", "--out", str(out)]) == 2
     assert capsys.readouterr().err == "error: the walk budget is not a finite number\n"
@@ -145,13 +159,23 @@ def test_walk_budget_above_the_bound_exits_two(tmp_path, capsys):
     # the table's largest budget is far below the bound
     args = cli.build_parser().parse_args(["embed", "--graphs", graphs, "--manifest", manifest,
                                           "--T", "10", "--epsilon", "0.05", "--delta", "0.05"])
-    assert cli._resolve_budgets(args) == [(1289987, 10, 1, 0)]
+    assert cli._batches(args) == [(sampling.SamplerParams(1289987, 10, 0.5, 0), 1, 0)]
+    # one batch per size, each run index offset past the sizes before it
+    args = cli.build_parser().parse_args(base + ["--epsilon", "0.1", "--delta", "0.1",
+                                                 "--per-size-m", "--seed", "7"])
+    assert cli._batches(args) == [(sampling.SamplerParams(600, 1, 0.5, 7), 1, 0),
+                                  (sampling.SamplerParams(600, 2, 0.5, 7), 2, 600),
+                                  (sampling.SamplerParams(877, 3, 0.5, 7), 3, 1200)]
     # 1e-100 derives about 1.1e202 walks per graph, which would never finish
     for budget in (["--epsilon", "1e-100", "--delta", "0.1"],
                    ["--epsilon", "1e-100", "--delta", "0.1", "--per-size-m"],
-                   ["--M", str(10**8 + 1)]):
+                   ["--M", str(10**8 + 1)],
+                   # the bound is reported before a bad --alpha
+                   ["--M", str(10**8 + 1), "--alpha", "2"],
+                   ["--T", "10", "--epsilon", "0.001", "--delta", "0.1", "--per-size-m",
+                    "--alpha", "2"]):
         with pytest.raises(ValueError, match="exceeds 100000000 walks per graph"):
-            cli._resolve_budgets(cli.build_parser().parse_args(base + budget))
+            cli._batches(cli.build_parser().parse_args(base + budget))
         assert main(base + budget) == 2
         assert capsys.readouterr().err == (
             "error: embed: the walk budget exceeds 100000000 walks per graph\n")
@@ -183,7 +207,9 @@ def test_embeddings_with_no_rows_or_a_repeated_id_exit_two(tmp_path, capsys):
     out = tmp_path / "out"
     for text, message in (("graph_id\tbin0\n", "error: no embeddings given\n"),
                           ("graph_id\tbin0\ng0\t1\ng1\t2\ng0\t3\n",
-                           "error: line 4: duplicate graph id 'g0'\n")):
+                           "error: line 4: duplicate graph id 'g0'\n"),
+                          ("graph_id\tbin0\ng0\t1\ng2\t2\n",
+                           "error: embeddings not covered by manifest: ['g2']\n")):
         emb = _write(tmp_path, "e.tsv", text)
         for command in (["kernel", "--kind", "dot"], ["knn", "--k", "1"]):
             assert main(command + ["--embeddings", emb, "--manifest", manifest,
@@ -441,6 +467,12 @@ def test_kernel_command_hist_int_diagonal(tmp_path, capsys):
     assert first[0] in {"odd", "even"}
     assert first[1] == "0:1"
     assert float(first[2].split(":")[1]) == 27.0
+    # without a manifest every row's label is 0
+    assert main(["kernel", "--embeddings", emb_path, "--kind", "hist-int",
+                 "--out", out]) == 0
+    capsys.readouterr()
+    unlabeled = (tmp_path / "out" / "kernel.txt").read_text().splitlines()
+    assert unlabeled == ["0 " + line.split(" ", 1)[1] for line in lines]
 
 
 def test_kernel_rejects_class_labels_the_export_cannot_carry(tmp_path, capsys):
@@ -634,3 +666,7 @@ def test_rho_command(tmp_path, capsys):
     assert main(["rho", "--system-ranks", lonely, "--truth-ranks", truth,
                  "--out", out]) == 2
     capsys.readouterr()
+    comments = _write(tmp_path, "comments.tsv", "# no queries\n\n")
+    assert main(["rho", "--system-ranks", comments, "--truth-ranks", truth,
+                 "--out", out]) == 2
+    assert capsys.readouterr().err == "error: no queries in system ranks file\n"

@@ -155,6 +155,13 @@ def test_validate_catches_direct_construction_errors():
         ("not sorted", ("bad", 3, ((1, 2), (0, 1)))),
         ("node label count", ("bad", 2, ((0, 1),), ("A",))),
         ("edge label count", ("bad", 2, ((0, 1),), None, ())),
+        # an id serializes to a t line, and a manifest line names it
+        ("graph id '' must be one token", ("", 2, ())),
+        ("graph id 'a b' must be one token", ("a b", 2, ())),
+        ("must be one token", ("a\nb", 2, ())),
+        ("graph id ' a' must be one token", (" a", 2, ())),
+        ("graph id '#x' must be one token", ("#x", 2, ())),
+        ("graph id 7 must be one token", (7, 2, ())),
     ]
     for match, fields in cases:
         fields += (None,) * (5 - len(fields))
@@ -194,6 +201,10 @@ PARSER_ERRORS = (  # (parser, input text, exact message)
     ("graph", "t\n", "line 1: expected: t <graph_id>"),
     ("graph", "t a b\n", "line 1: expected: t <graph_id>"),
     ("graph", "t g\nv 0\nt g\nv 0\n", "line 3: duplicate graph id 'g'"),
+    ("graph", "t #x\nv 0\n",
+     "line 1: graph id '#x' must be one token that does not start with '#'"),
+    ("graph", "t g\nv 0\nt #\nv 0\n",
+     "line 3: graph id '#' must be one token that does not start with '#'"),
     ("graph", "v 0\n", "line 1: node declared before any 't' line"),
     ("graph", "e 0 1\n", "line 1: edge declared before any 't' line"),
     ("graph", "t g\nv\n", "line 2: expected: v <node_id> [<label>]"),
