@@ -40,7 +40,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterator, NamedTuple
 
-from .graphs import Graph, Graphlet, _check_labels, adjacency_lists, serialize_graph
+from .graphs import Graph, Graphlet, _check_labels, _write, adjacency_lists, serialize_graph
 from .hashing import _numerators, _ratio, measure_values, resolve_hash_function
 
 MAX_ORACLE_NODES = 12
@@ -342,6 +342,5 @@ def format_report(report: CollisionReport) -> str:
 def write_report(report: CollisionReport, path: str) -> str:
     """Write the formatted report to path and return its text."""
     text = format_report(report)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    _write(path, [text])
     return text

@@ -9,9 +9,11 @@ closed before all output was written.
 
 A start imports only ``graphs`` and ``hashing`` of this package; each
 command imports the modules it runs, so ``--version`` and ``audit``
-load neither the sampler, the embeddings nor numpy. The names read from
-those modules are bound into this module's namespace on first use (see
-``_bind``), where a wrapper set from outside beforehand stays in place.
+load neither the sampler, the embeddings nor numpy. The names a module
+exports (the package's ``_EXPORTS``) are bound into this module's
+namespace on first use (see ``_bind``), where a wrapper set from outside
+beforehand stays in place. Every output file is written whole or not at
+all (``graphs._write``).
 """
 
 from __future__ import annotations
@@ -20,41 +22,29 @@ import argparse
 import os
 import sys
 from importlib import import_module
-from itertools import accumulate
+from itertools import accumulate, chain
 
-from . import __version__
-from .graphs import GraphFormatError, _records, load_graphs, load_manifest, resolve_manifest
+from . import _EXPORTS, _MODULE_OF, __version__
+from .graphs import (GraphFormatError, _read, _records, _write, load_graphs, load_manifest,
+                     resolve_manifest)
 from .hashing import HASH_FUNCTIONS
-
-# Module -> names the commands read from it. These modules are imported
-# only by the commands that run them: ``_bind`` makes the names globals
-# here, which is how the ``cmd_*`` functions below find them.
-_LAZY = {
-    "audit": ("MAX_ENUM_EDGES", "collision_report", "write_report"),
-    "embedding": ("build_vocabulary", "embed_graph_stats", "finalize_embeddings",
-                  "read_embeddings", "write_embeddings", "write_vocabulary"),
-    "kernels": ("KernelSpec", "kernel_matrix", "knn_retrieval_scores", "loo_knn_accuracy",
-                "ranking_pair", "rho_score", "write_precomputed_kernel"),
-    "sampling": ("SamplerParams", "check_accuracy", "clear_states", "connected_graph_count",
-                 "sample_size"),
-}
 
 
 def _bind(*modules: str) -> None:
-    """Import each module and bind its ``_LAZY`` names here. A name that
-    is already bound stays: a caller may have replaced it with a wrapper."""
+    """Import each module and bind the names it exports here, where the
+    ``cmd_*`` functions find them. A name already bound stays: a caller
+    may have replaced it with a wrapper."""
     for module in modules:
         found = import_module(f".{module}", __package__)
-        for name in _LAZY[module]:
+        for name in _EXPORTS[module]:
             globals().setdefault(name, getattr(found, name))
 
 
 def __getattr__(name: str):
-    for module, names in _LAZY.items():
-        if name in names:
-            _bind(module)
-            return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind(_MODULE_OF[name])
+    return globals()[name]
 
 
 # Walks per graph in one batch: far above the largest published budget
@@ -118,6 +108,7 @@ def _embed_worker(job):
 
 
 def _sample_size(args, support: int) -> int:
+    from .sampling import check_accuracy
     try:  # a target out of range is a usage error, found before any input is read
         check_accuracy(args.epsilon, args.delta)
     except ValueError as exc:
@@ -170,6 +161,12 @@ def _batches(args) -> list[tuple[SamplerParams, int, int]]:
         raise UsageError(f"embed: {exc}") from None
 
 
+def _out(args, name: str) -> str:
+    """The path of output file name in --out, which is made if missing."""
+    os.makedirs(args.out, exist_ok=True)
+    return os.path.join(args.out, name)
+
+
 def cmd_sample_size(args) -> int:
     _bind("sampling")
     print(_sample_size(args, args.a))
@@ -177,6 +174,7 @@ def cmd_sample_size(args) -> int:
 
 
 def cmd_embed(args) -> int:
+    from .sampling import clear_states
     batches = _batches(args)
     _bind("embedding")
     graphs = load_graphs(args.graphs)
@@ -210,20 +208,18 @@ def cmd_embed(args) -> int:
     vocab = build_vocabulary(vocab_maps)
 
     runs_total = sum(params.runs for params, _, _ in batches)
-    embeddings = finalize_embeddings(
-        [(gid, counts) for gid, counts, _ in results], vocab
-    )
+    embeddings = finalize_embeddings([(gid, counts) for gid, counts, _ in results], vocab)
 
-    os.makedirs(args.out, exist_ok=True)
-    vocab_path = os.path.join(args.out, "vocabulary.txt")
-    emb_path = os.path.join(args.out, "embeddings.tsv")
+    vocab_path, emb_path = _out(args, "vocabulary.txt"), _out(args, "embeddings.tsv")
     write_vocabulary(vocab, vocab_path)
-    write_embeddings(embeddings, emb_path, normalize=args.normalize)
+    try:
+        write_embeddings(embeddings, emb_path, normalize=args.normalize)
+    except BaseException:  # a failed embed leaves neither file of its own
+        os.remove(vocab_path)
+        raise
 
-    print(
-        f"embedded {len(embeddings)} graphs: bins={len(vocab)} "
-        f"runs={runs_total} batches={len(batches)} hash={args.hash}"
-    )
+    print(f"embedded {len(embeddings)} graphs: bins={len(vocab)} "
+          f"runs={runs_total} batches={len(batches)} hash={args.hash}")
     for emb, (_, _, dead) in zip(embeddings, results):
         print(
             f"graph {emb.graph_id}: counts={emb.total} dead_end_runs={dead} "
@@ -251,8 +247,7 @@ def _kernel(args) -> tuple:
 
 def cmd_kernel(args) -> int:
     ids, labels, K = _kernel(args)
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, "kernel.txt")
+    path = _out(args, "kernel.txt")
     write_precomputed_kernel(K, labels, path)
     print(f"kernel {args.kind}: {len(ids)}x{len(ids)} matrix -> {path}")
     return 0
@@ -262,12 +257,9 @@ def cmd_knn(args) -> int:
     _, labels, K = _kernel(args)
     hits = knn_retrieval_scores(K, labels, args.k)
     accuracy = loo_knn_accuracy(K, labels, args.k)
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, "retrieval.tsv")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("rank\thit_count\n")
-        for rank, count in enumerate(hits, start=1):
-            fh.write(f"{rank}\t{count}\n")
+    path = _out(args, "retrieval.tsv")
+    _write(path, chain(["rank\thit_count\n"],
+                       (f"{rank}\t{count}\n" for rank, count in enumerate(hits, start=1))))
     print(f"retrieval hits per rank: {hits}")
     print(f"loo {args.k}-nn accuracy: {accuracy:.4f}")
     print(f"wrote {path}")
@@ -275,12 +267,12 @@ def cmd_knn(args) -> int:
 
 
 def cmd_audit(args) -> int:
+    from .audit import MAX_ENUM_EDGES
     _bind("audit")
     if not 1 <= args.t <= MAX_ENUM_EDGES:
         raise UsageError(f"audit: --t must be in 1..{MAX_ENUM_EDGES}")
     report = collision_report(args.hash, args.t, keep_pairs=not args.no_pairs)
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, f"audit-{report.fn}-t{args.t}.tsv")
+    path = _out(args, f"audit-{report.fn}-t{args.t}.tsv")
     header, row = write_report(report, path).split("\n", 2)[:2]
     print(header)
     print(row)
@@ -288,46 +280,34 @@ def cmd_audit(args) -> int:
     return 0
 
 
-def _read_rankings(path: str) -> list[tuple[str, list[str]]]:
-    out: list[tuple[str, list[str]]] = []
-    seen: set[str] = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    for line_no, raw in _records(text):
+def _read_rankings(path: str) -> dict[str, list[str]]:
+    """Query id -> best-first items, in file order."""
+    out: dict[str, list[str]] = {}
+    for line_no, raw in _records(_read(path)):
         parts = raw.split("\t")
         if len(parts) != 2 or not parts[1]:
             raise GraphFormatError("expected: <query_id><TAB><item1,item2,...>", line_no)
-        qid, items = parts[0], parts[1].split(",")
-        if qid in seen:
-            raise GraphFormatError(f"duplicate query id {qid!r}", line_no)
-        seen.add(qid)
-        out.append((qid, items))
+        if parts[0] in out:
+            raise GraphFormatError(f"duplicate query id {parts[0]!r}", line_no)
+        out[parts[0]] = parts[1].split(",")
     return out
 
 
 def cmd_rho(args) -> int:
     _bind("kernels")
     system = _read_rankings(args.system_ranks)
-    truth = dict(_read_rankings(args.truth_ranks))
-    missing = [qid for qid, _ in system if qid not in truth]
+    truth = _read_rankings(args.truth_ranks)
+    missing = [qid for qid in system if qid not in truth]
     if missing:
         raise GraphFormatError(f"queries missing from truth ranks: {missing}")
-    scores = []
-    lines = []
-    for qid, ranking in system:
-        score = rho_score(ranking_pair(ranking, truth[qid]))
-        scores.append(score)
-        lines.append(f"{qid}\t{score:.6f}")
+    scores = [rho_score(ranking_pair(ranking, truth[qid])) for qid, ranking in system.items()]
     if not scores:
         raise GraphFormatError("no queries in system ranks file")
     mean = sum(scores) / len(scores)
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, "rho.tsv")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("query\trho\n")
-        for line in lines:
-            fh.write(line + "\n")
-        fh.write(f"mean\t{mean:.6f}\n")
+    path = _out(args, "rho.tsv")
+    _write(path, chain(["query\trho\n"],
+                       (f"{qid}\t{score:.6f}\n" for qid, score in zip(system, scores)),
+                       [f"mean\t{mean:.6f}\n"]))
     print(f"mean rho over {len(scores)} queries: {mean:.6f}")
     print(f"wrote {path}")
     return 0

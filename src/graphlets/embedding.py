@@ -19,7 +19,7 @@ import sys
 from collections import Counter
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .graphs import Graph, GraphFormatError
+from .graphs import Graph, GraphFormatError, _read, _write
 from .hashing import _code, _measure_key, hash_code, resolve_hash_function
 from .sampling import SamplerParams, labelled_graphlets, walks
 from .sampling import sample_all  # noqa: F401  (not called here; the benchmark wraps the name)
@@ -119,9 +119,7 @@ def finalize_embeddings(
 
 
 def write_vocabulary(vocab: Sequence[str], path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for key in vocab:
-            fh.write(key + "\n")
+    _write(path, (key + "\n" for key in vocab))
 
 
 def write_embeddings(
@@ -133,17 +131,18 @@ def write_embeddings(
     significant digits) when ``normalize`` is set.
     """
     n_bins = len(embeddings[0].counts) if embeddings else 0
-    header = "graph_id\t" + "\t".join(f"bin{i}" for i in range(n_bins))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
+
+    def lines():
+        yield "graph_id\t" + "\t".join(f"bin{i}" for i in range(n_bins)) + "\n"
         for emb in embeddings:
             if normalize:
-                total = emb.total
-                row = [(c / total if total else 0.0) for c in emb.counts]
-                cells = [f"{x:.17g}" for x in row]
+                total = emb.total or 1  # an all-zero row stays all zeros
+                cells = [f"{c / total:.17g}" for c in emb.counts]
             else:
                 cells = [str(c) for c in emb.counts]
-            fh.write(emb.graph_id + "\t" + "\t".join(cells) + "\n")
+            yield emb.graph_id + "\t" + "\t".join(cells) + "\n"
+
+    _write(path, lines())
 
 
 def _parse_cell(cell: str, graph_id: str) -> float | int:
@@ -163,8 +162,7 @@ def read_embeddings(path: str) -> tuple[list[str], list[list]]:
     another width and a repeated graph id are ``GraphFormatError``s
     naming their line.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines() or [""]
+    lines = _read(path).splitlines() or [""]
     width = lines[0].count("\t")
     if width < 1 or lines[0] != "\t".join(["graph_id"] + [f"bin{i}" for i in range(width)]):
         raise GraphFormatError("expected the header graph_id, bin0, ..., bin<w-1> (tabs)", 1)

@@ -12,7 +12,7 @@ format:
 Tokens are whitespace-separated. Graphs are simple and undirected:
 self-loops and duplicate edges are rejected at parse time, as is mixed
 labelling (some nodes labelled while others are not; same rule for
-edges). Node and edge labels are opaque strings compared by equality;
+edges). Node and edge labels are opaque tokens compared by equality;
 they may not contain ``,`` or ``|``, the separators of the hash-code
 key.
 
@@ -21,13 +21,17 @@ A dataset manifest is a companion TSV with one
 split is one of ``train``, ``valid``, ``test``, ``unsplit``.
 
 The graph file, the manifest and ``graphlets rho``'s ranking files
-share one record loop, ``_records``, which skips blank and ``#`` comment
-lines; every parse error names its line in the file.
+share one reader, ``_read``, and one record loop, ``_records``, which
+skips blank and ``#`` comment lines; every parse error names its line in
+the file. Every output file of the package is written by ``_write``,
+whole or not at all.
 """
 
 from __future__ import annotations
 
+import os
 from collections import namedtuple
+from contextlib import suppress
 from functools import cached_property
 from typing import IO, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -150,30 +154,60 @@ class ManifestEntry(NamedTuple):
     split: str
 
 
+def _is_token(s: str) -> bool:
+    """True if s is a string that is one token: not empty, no whitespace."""
+    return str(s).split() == [s]
+
+
 def _check_id(graph_id: str, line: int | None = None) -> None:
-    """Raise GraphFormatError unless graph_id is one token (not empty, no
-    whitespace) that does not start with ``#``, which a manifest reads as a
-    comment: the ids a ``t`` line and a manifest line can both carry."""
-    if str(graph_id).split() != [graph_id] or graph_id.startswith("#"):
+    """Raise GraphFormatError unless graph_id is one token that does not
+    start with ``#``, which a manifest reads as a comment: the ids a ``t``
+    line and a manifest line can both carry."""
+    if not _is_token(graph_id) or graph_id.startswith("#"):
         raise GraphFormatError(
             f"graph id {graph_id!r} must be one token that does not start with '#'", line
         )
 
 
 def _check_label(label: str | None, line: int | None = None) -> None:
+    if label is not None and not _is_token(label):  # a label is one token of its v or e line
+        raise GraphFormatError(f"label {label!r} must be one token", line)
     if label is not None and ("," in label or "|" in label):  # hash-code key separators
         raise GraphFormatError(f"label {label!r} contains ',' or '|'", line)
 
 
 def _check_labels(g: Graph | Graphlet, what: str = "graphlet") -> None:
     """Raise GraphFormatError unless g's labels, where present, are one
-    per node and one per edge and hold no key separator."""
+    per node and one per edge and pass ``_check_label``."""
     if g.node_labels is not None and len(g.node_labels) != g.n_nodes:
         raise GraphFormatError(f"{what}: node label count mismatch")
     if g.edge_labels is not None and len(g.edge_labels) != len(g.edges):
         raise GraphFormatError(f"{what}: edge label count mismatch")
     for label in (g.node_labels or ()) + (g.edge_labels or ()):
         _check_label(label)
+
+
+def _read(path: str) -> str:
+    """The text of a UTF-8 input file."""
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
+
+
+def _write(path: str, chunks: Iterable[str]) -> None:
+    """Stream the chunks to a temp file beside path, unique to this process,
+    then replace path with it. On any exception, KeyboardInterrupt included,
+    the temp file is removed and path is left as it was."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException as exc:
+        with suppress(OSError):
+            os.remove(tmp)
+        if isinstance(exc, OSError) and exc.filename == tmp:  # name the target, not tmp
+            raise OSError(exc.errno, exc.strerror, path) from None
+        raise
 
 
 def _records(text: str) -> Iterator[tuple[int, str]]:
@@ -268,18 +302,13 @@ def parse_graph_file(source: str | IO[str]) -> list[Graph]:
 
 def serialize_graph(g: Graph) -> str:
     """Canonical text form: nodes by index, edges by sorted endpoint pair."""
-    lines = [f"t {g.id}"]
-    for i in range(g.n_nodes):
-        if g.node_labels is not None:
-            lines.append(f"v {i} {g.node_labels[i]}")
-        else:
-            lines.append(f"v {i}")
-    for idx, (u, v) in enumerate(g.edges):
-        if g.edge_labels is not None:
-            lines.append(f"e {u} {v} {g.edge_labels[idx]}")
-        else:
-            lines.append(f"e {u} {v}")
-    return "\n".join(lines) + "\n"
+    nodes = [f"v {i}" for i in range(g.n_nodes)]
+    edges = [f"e {u} {v}" for u, v in g.edges]
+    if g.node_labels is not None:
+        nodes = [f"{line} {label}" for line, label in zip(nodes, g.node_labels)]
+    if g.edge_labels is not None:
+        edges = [f"{line} {label}" for line, label in zip(edges, g.edge_labels)]
+    return "\n".join([f"t {g.id}", *nodes, *edges]) + "\n"
 
 
 def serialize_graphs(graphs: Iterable[Graph]) -> str:
@@ -287,20 +316,17 @@ def serialize_graphs(graphs: Iterable[Graph]) -> str:
 
 
 def load_graphs(path: str) -> list[Graph]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_graph_file(fh)
+    return parse_graph_file(_read(path))
 
 
 def save_graphs(graphs: Iterable[Graph], path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(serialize_graphs(graphs))
+    _write(path, map(serialize_graph, graphs))
 
 
 def parse_manifest(source: str | IO[str]) -> list[ManifestEntry]:
     """Parse a manifest TSV; graph ids must be unique."""
     text = source if isinstance(source, str) else source.read()
-    entries: list[ManifestEntry] = []
-    seen: set[str] = set()
+    entries: dict[str, ManifestEntry] = {}
     for line_no, raw in _records(text):
         parts = raw.split("\t")
         if len(parts) != 3:
@@ -310,22 +336,18 @@ def parse_manifest(source: str | IO[str]) -> list[ManifestEntry]:
         graph_id, class_label, split = parts
         if split not in SPLITS:
             raise GraphFormatError(f"unknown split {split!r}", line_no)
-        if graph_id in seen:
+        if graph_id in entries:
             raise GraphFormatError(f"duplicate graph id {graph_id!r}", line_no)
-        seen.add(graph_id)
-        entries.append(ManifestEntry(graph_id, class_label, split))
-    return entries
+        entries[graph_id] = ManifestEntry(graph_id, class_label, split)
+    return list(entries.values())
 
 
 def load_manifest(path: str) -> list[ManifestEntry]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_manifest(fh)
+    return parse_manifest(_read(path))
 
 
 def save_manifest(entries: Iterable[ManifestEntry], path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for e in entries:
-            fh.write(f"{e.graph_id}\t{e.class_label}\t{e.split}\n")
+    _write(path, (f"{e.graph_id}\t{e.class_label}\t{e.split}\n" for e in entries))
 
 
 def resolve_manifest(

@@ -11,7 +11,7 @@ import math
 from collections import Counter, namedtuple
 from typing import Sequence
 
-from .graphs import _Checked
+from .graphs import _Checked, _is_token, _write
 
 KERNEL_KINDS = ("dot", "rbf", "hist_intersection", "cosine")
 
@@ -174,10 +174,9 @@ def write_precomputed_kernel(
         raise ValueError("kernel matrix must be square")
     if len(labels) != n:
         raise ValueError("labels do not align with the kernel matrix")
-    bad = [lbl for lbl in labels if lbl.split() != [lbl]]  # empty or has whitespace
+    bad = [lbl for lbl in labels if not _is_token(lbl)]  # empty or has whitespace
     if bad:
         raise ValueError(f"class labels must be non-empty and whitespace-free: {bad[0]!r}")
     row = " ".join(f"{j + 1}:%.17g" for j in range(n))  # one format call per row
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for i, values in enumerate(K.tolist()):
-            fh.write(f"{labels[i]} 0:{i + 1} " + row % tuple(values) + "\n")
+    _write(path, (f"{labels[i]} 0:{i + 1} " + row % tuple(values) + "\n"
+                  for i, values in enumerate(K.tolist())))

@@ -258,6 +258,20 @@ def test_embed_labels_with_key_separators_exit_two(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_a_failed_embed_leaves_neither_file(tmp_path, capsys):
+    graphs = _write(tmp_path, "g.txt", TRIANGLE_TXT)
+    manifest = _write(tmp_path, "m.tsv", "tri\tc\tunsplit\n")
+    for name in ("embeddings.tsv", "vocabulary.txt"):
+        out = tmp_path / name.split(".")[0]
+        (out / name).mkdir(parents=True)  # a directory where the file would go
+        assert main(["embed", "--graphs", graphs, "--manifest", manifest, "--T", "3",
+                     "--M", "2", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: [Errno 21] Is a directory: {str(out / name)!r}\n")
+        assert os.listdir(out) == [name]  # no other file of the run, no temp file
+        assert os.listdir(out / name) == []
+
+
 def test_embed_without_class_count_needs_a_override(tmp_path, capsys):
     graphs = _write(tmp_path, "g.txt", TRIANGLE_TXT)
     manifest = _write(tmp_path, "m.tsv", "tri\tc\tunsplit\n")
@@ -392,6 +406,7 @@ def _embed_digests(tmp_path, name, graphs, entries, args):
     rc = main(["embed", "--graphs", str(gpath), "--manifest", str(mpath), "--out", str(out)]
               + args)
     assert rc == 0
+    assert sorted(os.listdir(out)) == ["embeddings.tsv", "vocabulary.txt"]  # no temp file
     return [hashlib.sha256((out / f).read_bytes()).hexdigest()[:16]
             for f in ("vocabulary.txt", "embeddings.tsv")]
 
@@ -473,6 +488,7 @@ def test_kernel_command_hist_int_diagonal(tmp_path, capsys):
     capsys.readouterr()
     unlabeled = (tmp_path / "out" / "kernel.txt").read_text().splitlines()
     assert unlabeled == ["0 " + line.split(" ", 1)[1] for line in lines]
+    assert sorted(os.listdir(out)) == ["embeddings.tsv", "kernel.txt", "vocabulary.txt"]
 
 
 def test_kernel_rejects_class_labels_the_export_cannot_carry(tmp_path, capsys):
@@ -547,6 +563,8 @@ def test_closed_stdout_exits_141_after_writing_files(tmp_path):
     assert (out / "vocabulary.txt").read_text() == "3|degree|2,2,2||\n"
     assert (out / "embeddings.tsv").read_text() == "graph_id\tbin0\ntri\t10\n"
     assert (out / "audit-degree-t3.tsv").read_text().startswith("fn\tt\t")
+    assert sorted(os.listdir(out)) == ["audit-degree-t3.tsv", "embeddings.tsv",
+                                       "vocabulary.txt"]
 
 
 # Runs commands in one fresh interpreter and reports, after each, which
@@ -614,6 +632,7 @@ def test_knn_duplicated_graphs_retrieve_each_other(tmp_path, capsys):
                  "--manifest", mpath, "--k", "1", "--out", out]) == 0
     stdout = capsys.readouterr().out
     assert (tmp_path / "out" / "retrieval.tsv").read_text() == "rank\thit_count\n1\t4\n"
+    assert sorted(os.listdir(out)) == ["embeddings.tsv", "retrieval.tsv", "vocabulary.txt"]
     assert "accuracy: 1.0000" in stdout
 
 
@@ -644,6 +663,7 @@ def test_audit_byte_identical_across_threads(tmp_path, capsys):
         assert main(["audit", "--hash", "degree", "--t", "5",
                      "--threads", threads, "--out", str(out)]) == 0
         blobs.append((out / "audit-degree-t5.tsv").read_bytes())
+        assert os.listdir(out) == ["audit-degree-t5.tsv"]
     assert blobs[0] == blobs[1]
     capsys.readouterr()
 
@@ -670,3 +690,4 @@ def test_rho_command(tmp_path, capsys):
     assert main(["rho", "--system-ranks", comments, "--truth-ranks", truth,
                  "--out", out]) == 2
     assert capsys.readouterr().err == "error: no queries in system ranks file\n"
+    assert os.listdir(out) == ["rho.tsv"]  # the failed runs left the first one's file

@@ -1,4 +1,5 @@
 import io
+import os
 import pickle
 import random
 
@@ -14,6 +15,7 @@ from graphlets import (
     serialize_graphs,
 )
 from graphlets import cli
+from graphlets.graphs import _write
 
 from synth import random_connected_graph
 
@@ -162,6 +164,11 @@ def test_validate_catches_direct_construction_errors():
         ("graph id ' a' must be one token", (" a", 2, ())),
         ("graph id '#x' must be one token", ("#x", 2, ())),
         ("graph id 7 must be one token", (7, 2, ())),
+        # a label serializes into its v or e line, so it is one token too
+        ("label 'a b' must be one token", ("bad", 2, ((0, 1),), ("a b", "B"))),
+        ("label '' must be one token", ("bad", 2, ((0, 1),), ("A", ""))),
+        ("label 'a b' must be one token", ("bad", 2, ((0, 1),), None, ("a b",))),
+        ("label '' must be one token", ("bad", 2, ((0, 1),), None, ("",))),
     ]
     for match, fields in cases:
         fields += (None,) * (5 - len(fields))
@@ -174,6 +181,32 @@ def test_validate_catches_direct_construction_errors():
     copy = pickle.loads(pickle.dumps(valid))  # how a --threads 2 pool ships graphs
     assert copy == valid and type(copy) is Graph
     assert copy.adjacency == ((1,), (0,)) and copy.edge_label(0, 1) == "x"
+
+
+def test_write_replaces_the_file_whole_or_leaves_it_as_it_was(tmp_path):
+    path = tmp_path / "out.txt"
+    path.write_bytes(b"old\n")
+
+    def failing(error):
+        yield "new\n"
+        raise error
+
+    for error in (ValueError("partway"), KeyboardInterrupt()):
+        with pytest.raises(type(error)):
+            _write(str(path), failing(error))
+        assert path.read_bytes() == b"old\n"
+        assert os.listdir(tmp_path) == ["out.txt"]  # and no temp file
+    _write(str(path), iter(["a\n", "b\r\n"]))
+    assert path.read_bytes() == b"a\nb\r\n"
+    assert os.listdir(tmp_path) == ["out.txt"]
+    # a directory in the target's place: the error names the target, not the temp file
+    target = tmp_path / "dir"
+    target.mkdir()
+    with pytest.raises(IsADirectoryError) as info:
+        _write(str(target), iter(["x\n"]))
+    assert (info.value.filename, info.value.filename2) == (str(target), None)
+    assert sorted(os.listdir(tmp_path)) == ["dir", "out.txt"]
+    assert os.listdir(target) == []
 
 
 def test_manifest_round_trip_and_errors():

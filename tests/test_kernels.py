@@ -55,6 +55,8 @@ def test_kernel_spec_validation():
 def test_length_mismatch_rejected():
     with pytest.raises(ValueError):
         kernel_matrix([[1, 2], [1, 2, 3]], DOT)
+    with pytest.raises(ValueError, match="common vector length"):
+        kernel_matrix([1, 2], DOT)  # one vector, not a list of them
 
 
 def test_symmetry_and_bounds_random_pairs():
@@ -214,8 +216,13 @@ def test_ranking_pair_from_rankings():
     pair = ranking_pair(["m2", "m1"], ["m1", "m2"])
     assert pair == RankingPair(2, 2)
     assert rho_score(pair) == 0.5
-    with pytest.raises(ValueError, match="missing"):
+    with pytest.raises(ValueError, match="system's top item 'm3' missing"):
         ranking_pair(["m3"], ["m1", "m2"])
+    with pytest.raises(ValueError, match="truth's top item 'm3' missing"):
+        ranking_pair(["m1", "m2"], ["m3", "m1"])
+    for system, truth in (([], ["m1"]), (["m1"], [])):
+        with pytest.raises(ValueError, match="nonempty"):
+            ranking_pair(system, truth)
 
 
 def test_precomputed_kernel_file_format(tmp_path):
@@ -234,8 +241,10 @@ def test_precomputed_kernel_file_format(tmp_path):
     k_01 = lines[0].split(" ")[3].split(":")[1]
     k_10 = lines[1].split(" ")[2].split(":")[1]
     assert k_01 == k_10
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="labels do not align"):
         write_precomputed_kernel(K, ["a", "b"], str(path))
+    with pytest.raises(ValueError, match="must be square"):
+        write_precomputed_kernel(K[:2], ["a", "b"], str(path))
 
 
 def test_precomputed_kernel_rejects_empty_or_spaced_labels(tmp_path):
