@@ -19,6 +19,7 @@ all (``graphs._write``).
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
 from importlib import import_module
@@ -195,6 +196,10 @@ def cmd_embed(args) -> int:
             raise GraphFormatError(f"graph {g.id!r} has no edges")
         selected.append(g)
 
+    for name in ("vocabulary.txt", "embeddings.tsv"):  # fail before the walks, not after
+        target = os.path.join(args.out, name)
+        if os.path.isdir(target):
+            raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), target)
     jobs = [(g, batches, args.hash) for g in selected]
     results = _pmap(_embed_worker, jobs, args.threads)
     # Every graph is embedded: the rows below reuse the walk states' memory.

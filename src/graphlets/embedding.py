@@ -2,15 +2,15 @@
 
 Every sampled graphlet of a graph is hashed to its code key string; the
 per-graph histogram counts keys. The sampler's walk states are the only
-cache: an unlabelled graphlet is its state, which keeps its code per
-hash function, and a labelled graphlet's state keeps its topology's
-measure key, so only the label signatures are built per step (see
-:mod:`graphlets.hashing`). The vocabulary is the sorted tuple of all
-observed keys, so a key's position is its bin index and never depends
-on graph processing order or parallelism. Count vectors are then
-aligned to the vocabulary; keys absent from it (a frozen vocabulary
-applied to new data) are dropped and tallied in an ``oov_count``
-diagnostic rather than raising.
+cache: a state keeps one entry per hash function, its topology's
+measure key (see :mod:`graphlets.hashing`), labelled graphlet or not.
+An unlabelled graphlet is its state's topology, and the entry holds its
+code; a labelled one's label signatures are added per step. The
+vocabulary is the sorted tuple of all observed keys, so a key's
+position is its bin index and never depends on graph processing order
+or parallelism. Count vectors are then aligned to the vocabulary; keys
+absent from it (a frozen vocabulary applied to new data) are dropped
+and tallied in an ``oov_count`` diagnostic rather than raising.
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ from collections import Counter
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .graphs import Graph, GraphFormatError, _read, _write
-from .hashing import _code, _measure_key, hash_code, resolve_hash_function
+from .hashing import _code, _measure_key, resolve_hash_function
+from .hashing import hash_code  # noqa: F401  (not called here; the benchmark wraps the name)
 from .sampling import SamplerParams, labelled_graphlets, walks
 from .sampling import sample_all  # noqa: F401  (not called here; the benchmark wraps the name)
 
@@ -56,35 +57,27 @@ def embed_graph_stats(
     with at least ``min_edges`` edges are hashed; the map sums to
     runs * (max_edges - min_edges + 1) when no run dead-ends. Only the
     current run's path is held, so memory does not grow with the
-    budget. Codes (unlabelled) and measure keys (labelled) live and die
-    with the walk states. A ``Graph`` checked its labels, so codes do not.
+    budget. Each state's measure key lives and dies with the state. A
+    ``Graph`` checked its labels, so codes do not.
     """
     if not 1 <= min_edges <= params.max_edges:
         raise ValueError(
             f"min_edges must be in 1..{params.max_edges}, got {min_edges}"
         )
     resolve_hash_function(fn, min_edges)  # reject an unknown name before sampling
-    labelled = graph.node_labels is not None or graph.edge_labels is not None
     counts: Counter[str] = Counter()
     dead_ends = 0
     skip = min_edges - 1
     for order, path in walks(graph, params, run_offset):
         if len(path) < params.max_edges:
             dead_ends += 1
-        if labelled:
-            graphlets = labelled_graphlets(graph, order, path)
-            for (_, (topology, _, _, measures)), g in zip(path[skip:], graphlets[skip:]):
-                measure = measures.get(fn)
-                if measure is None:
-                    resolved = resolve_hash_function(fn, g.n_edges)
-                    measure = measures[fn] = (resolved, _measure_key(resolved, topology))
-                counts[_code(measure[0], g, measure[1])] += 1
-            continue
-        for _, (g, _, codes, _) in path[skip:]:
-            code = codes.get(fn)
-            if code is None:
-                code = codes[fn] = hash_code(g, fn)
-            counts[code] += 1
+        graphlets = labelled_graphlets(graph, order, path)
+        for (_, (topology, _, codes)), g in zip(path[skip:], graphlets[skip:]):
+            entry = codes.get(fn)
+            if entry is None:  # the one place a state misses
+                resolved = resolve_hash_function(fn, topology.n_edges)
+                entry = codes[fn] = _measure_key(resolved, topology)
+            counts[entry[1] if g is topology else _code(g, entry)] += 1
     return dict(counts), dead_ends
 
 

@@ -10,8 +10,8 @@ code here that builds a ``Fraction`` or imports ``fractions``. Labelled
 graphlets additionally carry node/edge label signatures ordered by the
 measure-sorted node ranking. A code reads only a ``Graphlet``'s node
 count, local edges and labels, so sampled and enumerated graphlets hash
-alike. Nothing here is cached: ``_measure_key`` reads the topology,
-``_code`` adds the labels, and the embed keeps either on a walk state.
+alike. Nothing here is cached: ``_measure_key`` returns a topology's
+entry, which the embed keeps on a walk state, and ``_code`` adds labels.
 
 ``hash_code`` returns the code as its key string, which is also the
 vocabulary entry and so the histogram bin:
@@ -168,14 +168,15 @@ def _ratio(num: int, den: int) -> str:
 
 def _measure_key(fn: str, g: Graphlet) -> tuple[tuple, str]:
     """Per-node sort keys in node order (the ``_numerators``), and the
-    sorted vector as a code prints it."""
+    code key of ``g`` under resolved ``fn`` with both label fields empty."""
     num, den = _numerators(fn, g)
-    return tuple(num), ",".join([_ratio(x, den) for x in sorted(num)])
+    topo_key = ",".join([_ratio(x, den) for x in sorted(num)])
+    return tuple(num), f"{g.n_edges}|{fn}|{topo_key}||"
 
 
-def _code(fn: str, g: Graphlet, measure: tuple[tuple, str]) -> str:
-    """Code key of ``g`` under resolved ``fn`` from its ``_measure_key``; no label check."""
-    values, topo_key = measure
+def _code(g: Graphlet, entry: tuple[tuple, str]) -> str:
+    """Code key of ``g`` from its topology's ``_measure_key`` entry; no label check."""
+    values, key = entry
     nodes, edges = g.node_labels, g.edge_labels
     node_key = edge_key = ""
     if nodes is not None or edges is not None:
@@ -190,11 +191,11 @@ def _code(fn: str, g: Graphlet, measure: tuple[tuple, str]) -> str:
             rank = {k: r for r, k in enumerate(sorted(set(keys)))}
             ends = [sorted((rank[keys[u]], rank[keys[v]])) for u, v in g.edges]
             edge_key = ",".join([lbl for _, lbl in sorted(zip(ends, edges))])
-    return f"{g.n_edges}|{fn}|{topo_key}|{node_key}|{edge_key}"
+    return f"{key[:-1]}{node_key}|{edge_key}"  # key ends in its two empty label fields
 
 
 def hash_code(g: Graphlet, fn: str = "auto") -> str:
     """Permutation-invariant code key of a graphlet under a hash function."""
     fn = resolve_hash_function(fn, g.n_edges)
     _check_labels(g)
-    return _code(fn, g, _measure_key(fn, g))
+    return _code(g, _measure_key(fn, g))

@@ -7,11 +7,11 @@ k is the walk's first k edges, re-indexed to local nodes in visiting
 order, so a run yields one connected graphlet per edge count 1..t_end;
 the walk's visiting order maps local nodes back to the parent graph.
 
-The walk is one loop over per-process walk states. A state is a local
-topology so far (an unlabelled ``Graphlet``), its steps (local edge ->
-the edge's position among the next state's sorted edges, and the next
-state), and the embed's only cache: codes (hash function -> code key)
-and measures (hash function -> resolved one, measure key). A step is
+The walk is one loop over per-process walk states. A state is
+``(graphlet, steps, codes)``: the local topology so far (an unlabelled
+``Graphlet``), its steps (local edge -> the edge's position among the
+next state's sorted edges, and the next state), and the embed's only
+cache, codes (hash function -> the topology's measure key). A step is
 one lookup in the current state's steps; a state is built only on a
 miss, and states that different walks reach are merged by topology. A
 run returns its visiting order and (position, state) path; labels are
@@ -127,26 +127,26 @@ def _below(getrandbits, n: int) -> int:
 
 STATE_CAP = 1 << 14  # states kept; past it all are dropped at a run boundary
 _ROOT = Graphlet(1, ())  # one node, no edge: where every walk starts
-# Local topology -> its walk state (topology, steps, codes, measures).
-_STATES: dict[Graphlet, tuple[Graphlet, dict, dict, dict]] = {}
+# Local topology -> its walk state (topology, steps, codes).
+_STATES: dict[Graphlet, tuple[Graphlet, dict, dict]] = {}
 
 
-def _state(g: Graphlet) -> tuple[Graphlet, dict, dict, dict]:
+def _state(g: Graphlet) -> tuple[Graphlet, dict, dict]:
     """The state of local topology ``g``, made on first sight."""
     state = _STATES.get(g)
     if state is None:
-        state = _STATES[g] = (g, {}, {}, {})
+        state = _STATES[g] = (g, {}, {})
     return state
 
 
 def clear_states() -> None:
-    """Drop every walk state, and with them their steps, codes and measures."""
+    """Drop every walk state, and with them their steps and codes."""
     _STATES.clear()
 
 
 def _add_step(state: tuple, lu: int, lv: int) -> tuple:
     """Step miss: (position, next state) of adding local edge (lu, lv), lu < lv."""
-    g, steps, _, _ = state
+    g, steps, _ = state
     e = (lu, lv)
     pos = bisect_left(g.edges, e)
     nxt = Graphlet(max(g.n_nodes, lv + 1), g.edges[:pos] + (e,) + g.edges[pos:])
@@ -263,7 +263,7 @@ def labelled_graphlets(graph: Graph, order: list[int], path: list[tuple]) -> lis
     nodes = tuple(node_labels[x] for x in order) if node_labels is not None else None
     edges: list[str] = []
     out = []
-    for pos, (g, _, _, _) in path:
+    for pos, (g, _, _) in path:
         if edge_labels is not None:
             a, b = g.edges[pos]
             edges.insert(pos, graph.edge_label(order[a], order[b]))  # type: ignore[arg-type]

@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import os
@@ -22,6 +23,13 @@ def _write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+def _src_env():
+    """The environment of a child interpreter that imports this checkout's package."""
+    src = os.path.dirname(os.path.dirname(graphlets.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 def _dataset(tmp_path, n_graphs=8, seed=0, stem="ds"):
@@ -258,18 +266,35 @@ def test_embed_labels_with_key_separators_exit_two(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_a_failed_embed_leaves_neither_file(tmp_path, capsys):
+def test_a_failed_embed_leaves_neither_file(tmp_path, capsys, monkeypatch):
     graphs = _write(tmp_path, "g.txt", TRIANGLE_TXT)
     manifest = _write(tmp_path, "m.tsv", "tri\tc\tunsplit\n")
+    argv = ["embed", "--graphs", graphs, "--manifest", manifest, "--T", "3", "--M", "2"]
+
+    def no_walks(*args):
+        raise AssertionError("the walks ran before the outputs were checked")
+
+    real_pmap = cli._pmap
+    monkeypatch.setattr(cli, "_pmap", no_walks)
     for name in ("embeddings.tsv", "vocabulary.txt"):
         out = tmp_path / name.split(".")[0]
         (out / name).mkdir(parents=True)  # a directory where the file would go
-        assert main(["embed", "--graphs", graphs, "--manifest", manifest, "--T", "3",
-                     "--M", "2", "--out", str(out)]) == 2
+        assert main(argv + ["--out", str(out)]) == 2
         assert capsys.readouterr().err == (
             f"error: [Errno 21] Is a directory: {str(out / name)!r}\n")
         assert os.listdir(out) == [name]  # no other file of the run, no temp file
         assert os.listdir(out / name) == []
+
+    def full_disk(*args, **kwargs):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    # a write that fails after the walks removes the vocabulary written before it
+    monkeypatch.setattr(cli, "_pmap", real_pmap)
+    monkeypatch.setattr(cli, "write_embeddings", full_disk)
+    out = tmp_path / "full"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+    assert os.listdir(out) == []
 
 
 def test_embed_without_class_count_needs_a_override(tmp_path, capsys):
@@ -369,6 +394,35 @@ def test_embed_byte_identical_across_threads(tmp_path, capsys):
         )
     assert outputs["1"] == outputs["4"]
     capsys.readouterr()
+
+
+# Runs the CLI in a fresh interpreter whose pool workers are spawned.
+_SPAWNED_CLI = """
+import multiprocessing, sys
+from graphlets.cli import main
+multiprocessing.set_start_method("spawn")
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_embed_workers_that_start_from_a_fresh_import(tmp_path, capsys):
+    # A spawned worker (and a forkserver one, Linux's default from Python
+    # 3.14) shares no module state with the parent: it binds the embed's
+    # names itself, and its bytes equal those of the in-process walks.
+    if (os.cpu_count() or 1) < 2:
+        pytest.skip("with one CPU, --threads 2 starts no worker")
+    graphs, manifest = _dataset(tmp_path, n_graphs=6, seed=3)
+    argv = ["embed", "--graphs", graphs, "--manifest", manifest,
+            "--T", "5", "--M", "12", "--seed", "7"]
+    assert main(argv + ["--threads", "1", "--out", str(tmp_path / "t1")]) == 0
+    capsys.readouterr()
+    proc = subprocess.run(
+        [sys.executable, "-c", _SPAWNED_CLI] + argv + ["--threads", "2", "--out",
+                                                       str(tmp_path / "t2")],
+        capture_output=True, text=True, env=_src_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    for name in ("vocabulary.txt", "embeddings.tsv"):
+        assert (tmp_path / "t2" / name).read_bytes() == (tmp_path / "t1" / name).read_bytes()
 
 
 def test_embed_drops_walk_states_and_code_caches_before_the_rows(
@@ -542,9 +596,7 @@ def test_closed_stdout_exits_141_after_writing_files(tmp_path):
     graphs = _write(tmp_path, "g.txt", TRIANGLE_TXT)
     manifest = _write(tmp_path, "m.tsv", "tri\tc\tunsplit\n")
     out = tmp_path / "out"
-    src = os.path.dirname(os.path.dirname(graphlets.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = _src_env()
     commands = (
         ["embed", "--graphs", graphs, "--manifest", manifest, "--T", "3",
          "--t-min", "3", "--M", "10", "--hash", "degree", "--out", str(out)],
@@ -598,11 +650,8 @@ def test_commands_without_kernels_start_without_numpy(tmp_path):
         ["sample-size", "--a", "3", "--epsilon", "0.1", "--delta", "0.1"],
         ["kernel", "--embeddings", os.path.join(out, "embeddings.tsv"), "--out", out],
     ]
-    src = os.path.dirname(os.path.dirname(graphlets.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", _STARTUP_MODULES, json.dumps(commands)],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, text=True, env=_src_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     sampler = ["graphlets.sampling", "graphlets.embedding"]
     assert json.loads(proc.stdout) == [

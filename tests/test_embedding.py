@@ -19,7 +19,7 @@ from graphlets import (
     write_embeddings,
     write_vocabulary,
 )
-from graphlets import embedding, sampling
+from graphlets import embedding, hashing, sampling
 
 from synth import random_connected_graph
 
@@ -219,20 +219,21 @@ def test_each_state_is_hashed_once(monkeypatch):
     # walks meet it.
     _fresh_table(monkeypatch)
     calls = []
-    real = embedding.hash_code
+    real = embedding._measure_key
 
-    def spy(g, fn):
-        calls.append((g, fn))
-        return real(g, fn)
+    def spy(fn, g):
+        calls.append((fn, g))
+        return real(fn, g)
 
-    monkeypatch.setattr(embedding, "hash_code", spy)
+    monkeypatch.setattr(embedding, "_measure_key", spy)
     g = random_connected_graph("g", 16, 8, random.Random(23))
     params = SamplerParams(runs=300, max_edges=6, seed=4)
     min_edges = 3
     embed_graph_stats(g, params, "auto", min_edges)
     met = {s for t in sample_all(g, params) for s in t.graphlets[min_edges - 1 :]}
     assert len(met) > 50
-    assert len(calls) == len(met) and set(calls) == {(s, "auto") for s in met}
+    resolved = {(resolve_hash_function("auto", s.n_edges), s) for s in met}
+    assert len(calls) == len(met) and set(calls) == resolved
     embed_graph_stats(g, params, "auto", min_edges)  # a second embed of the same graph
     assert len(calls) == len(met)
     embed_graph_stats(g, params, "core", min_edges)  # a second hash function
@@ -269,6 +270,29 @@ def test_each_labelled_state_measures_its_topology_once(monkeypatch):
     embed_graph_stats(g, params, "core", min_edges)  # a second hash function
     assert len(calls) == 2 * len(topologies)
     assert set(calls[len(topologies):]) == {("core", s) for s in topologies}
+
+
+def test_labelled_and_unlabelled_embeds_share_each_state_entry(monkeypatch):
+    # One entry per walk state serves a graph with labels and without:
+    # each topology's measures are computed once per hash function.
+    _fresh_table(monkeypatch)
+    calls = []
+    real = hashing._numerators
+
+    def spy(fn, g):
+        calls.append((fn, g))
+        return real(fn, g)
+
+    monkeypatch.setattr(hashing, "_numerators", spy)
+    labelled = random_connected_graph("g", 16, 8, random.Random(23), labeled=True)
+    bare = labelled._replace(node_labels=None, edge_labels=None)
+    params = SamplerParams(runs=300, max_edges=6, seed=4)
+    got = [embed_graph_stats(labelled, params, "auto"), embed_graph_stats(bare, params, "auto")]
+    met = {s for t in sample_all(bare, params) for s in t.graphlets}
+    assert len(met) > 50
+    assert len(calls) == len(met)
+    assert set(calls) == {(resolve_hash_function("auto", s.n_edges), s) for s in met}
+    assert got == [_reference_counts(g, params, "auto") for g in (labelled, bare)]
 
 
 def test_transition_table_never_changes_counts(monkeypatch):
