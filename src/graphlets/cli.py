@@ -13,7 +13,7 @@ load neither the sampler, the embeddings nor numpy. The names a module
 exports (the package's ``_EXPORTS``) are bound into this module's
 namespace on first use (see ``_bind``), where a wrapper set from outside
 beforehand stays in place. Every output file is written whole or not at
-all (``graphs._write``).
+all (``graphs._write``); a failed ``embed`` leaves an earlier pair of its files whole.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ from importlib import import_module
 from itertools import accumulate, chain
 
 from . import _EXPORTS, _MODULE_OF, __version__
-from .graphs import (GraphFormatError, _read, _records, _write, load_graphs, load_manifest,
-                     resolve_manifest)
+from .graphs import (GraphFormatError, _fields, _read, _records, _staged, _write, load_graphs,
+                     load_manifest, resolve_manifest)
 from .hashing import HASH_FUNCTIONS
 
 
@@ -196,8 +196,8 @@ def cmd_embed(args) -> int:
             raise GraphFormatError(f"graph {g.id!r} has no edges")
         selected.append(g)
 
-    for name in ("vocabulary.txt", "embeddings.tsv"):  # fail before the walks, not after
-        target = os.path.join(args.out, name)
+    vocab_path, emb_path = _out(args, "vocabulary.txt"), _out(args, "embeddings.tsv")
+    for target in (vocab_path, emb_path):  # fail before the walks, not after
         if os.path.isdir(target):
             raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), target)
     jobs = [(g, batches, args.hash) for g in selected]
@@ -215,13 +215,10 @@ def cmd_embed(args) -> int:
     runs_total = sum(params.runs for params, _, _ in batches)
     embeddings = finalize_embeddings([(gid, counts) for gid, counts, _ in results], vocab)
 
-    vocab_path, emb_path = _out(args, "vocabulary.txt"), _out(args, "embeddings.tsv")
-    write_vocabulary(vocab, vocab_path)
-    try:
+    with _staged(vocab_path) as staged:  # a failed embed leaves an earlier pair whole
+        write_vocabulary(vocab, staged)
         write_embeddings(embeddings, emb_path, normalize=args.normalize)
-    except BaseException:  # a failed embed leaves neither file of its own
-        os.remove(vocab_path)
-        raise
+        os.replace(staged, vocab_path)
 
     print(f"embedded {len(embeddings)} graphs: bins={len(vocab)} "
           f"runs={runs_total} batches={len(batches)} hash={args.hash}")
@@ -288,13 +285,11 @@ def cmd_audit(args) -> int:
 def _read_rankings(path: str) -> dict[str, list[str]]:
     """Query id -> best-first items, in file order."""
     out: dict[str, list[str]] = {}
-    for line_no, raw in _records(_read(path)):
-        parts = raw.split("\t")
-        if len(parts) != 2 or not parts[1]:
-            raise GraphFormatError("expected: <query_id><TAB><item1,item2,...>", line_no)
-        if parts[0] in out:
-            raise GraphFormatError(f"duplicate query id {parts[0]!r}", line_no)
-        out[parts[0]] = parts[1].split(",")
+    usage = "expected: <query_id><TAB><item1,item2,...>"
+    for line_no, (query, items) in _fields(_records(_read(path)), 2, usage, "query id"):
+        if not items:
+            raise GraphFormatError(usage, line_no)
+        out[query] = items.split(",")
     return out
 
 

@@ -19,7 +19,7 @@ import sys
 from collections import Counter
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .graphs import Graph, GraphFormatError, _read, _write
+from .graphs import Graph, GraphFormatError, _fields, _read, _records, _write
 from .hashing import _code, _measure_key, resolve_hash_function
 from .hashing import hash_code  # noqa: F401  (not called here; the benchmark wraps the name)
 from .sampling import SamplerParams, labelled_graphlets, walks
@@ -142,7 +142,10 @@ def _parse_cell(cell: str, graph_id: str) -> float | int:
     try:
         value: float | int = int(cell)
     except ValueError:
-        value = float(cell)
+        try:
+            value = float(cell)
+        except ValueError:  # no number at all, which the check below reports
+            value = float("nan")
     if abs(value) <= _FLOAT_MAX:  # false for nan, inf and ints a double cannot hold
         return value
     raise ValueError(f"graph {graph_id!r}: cell {cell!r} is not a finite number")
@@ -155,22 +158,15 @@ def read_embeddings(path: str) -> tuple[list[str], list[list]]:
     another width and a repeated graph id are ``GraphFormatError``s
     naming their line.
     """
-    lines = _read(path).splitlines() or [""]
-    width = lines[0].count("\t")
-    if width < 1 or lines[0] != "\t".join(["graph_id"] + [f"bin{i}" for i in range(width)]):
-        raise GraphFormatError("expected the header graph_id, bin0, ..., bin<w-1> (tabs)", 1)
+    records = _records(_read(path))
+    at, header = next(records, (1, ""))  # the header is the first record
+    width = header.count("\t")
+    if width < 1 or header != "\t".join(["graph_id"] + [f"bin{i}" for i in range(width)]):
+        raise GraphFormatError("expected the header graph_id, bin0, ..., bin<w-1> (tabs)", at)
     ids: list[str] = []
     rows: list[list] = []
-    seen: set[str] = set()
-    for line_no, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        cells = line.split("\t")
-        if len(cells) != width + 1:
-            raise GraphFormatError(f"row width mismatch for {cells[0]!r}", line_no)
-        if cells[0] in seen:
-            raise GraphFormatError(f"duplicate graph id {cells[0]!r}", line_no)
-        seen.add(cells[0])
-        ids.append(cells[0])
-        rows.append([_parse_cell(c, cells[0]) for c in cells[1:]])
+    for _, (graph_id, *cells) in _fields(records, width + 1, "row width mismatch for {!r}",
+                                         "graph id"):
+        ids.append(graph_id)
+        rows.append([_parse_cell(c, graph_id) for c in cells])
     return ids, rows

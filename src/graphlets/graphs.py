@@ -1,4 +1,4 @@
-"""Attributed graph data model, validation, and transaction-file I/O.
+r"""Attributed graph data model, validation, and transaction-file I/O.
 
 A transaction file stores one or more graphs in a line-oriented text
 format:
@@ -20,18 +20,18 @@ A dataset manifest is a companion TSV with one
 ``<graph_id><TAB><class_label><TAB><split>`` line per graph, where
 split is one of ``train``, ``valid``, ``test``, ``unsplit``.
 
-The graph file, the manifest and ``graphlets rho``'s ranking files
-share one reader, ``_read``, and one record loop, ``_records``, which
-skips blank and ``#`` comment lines; every parse error names its line in
-the file. Every output file of the package is written by ``_write``,
-whole or not at all.
+Every input file is read by ``_read``; ``_records`` cuts it into records,
+the lines (ended only by ``\n``, ``\r\n`` or ``\r``) that are neither blank
+nor ``#`` comments, and ``_fields`` splits the TSV ones and checks their
+width and first field. Every parse error names its line in the file.
+Every output file of the package is written by ``_write``, whole or not at all.
 """
 
 from __future__ import annotations
 
 import os
 from collections import namedtuple
-from contextlib import suppress
+from contextlib import contextmanager, suppress
 from functools import cached_property
 from typing import IO, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -193,15 +193,14 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _write(path: str, chunks: Iterable[str]) -> None:
-    """Stream the chunks to a temp file beside path, unique to this process,
-    then replace path with it. On any exception, KeyboardInterrupt included,
-    the temp file is removed and path is left as it was."""
+@contextmanager
+def _staged(path: str) -> Iterator[str]:
+    """A temp file name beside path, unique to this process, for a block that
+    writes it and then replaces path with it. On any exception, KeyboardInterrupt
+    included, the temp file is removed and path is left as it was."""
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines(chunks)
-        os.replace(tmp, path)
+        yield tmp
     except BaseException as exc:
         with suppress(OSError):
             os.remove(tmp)
@@ -210,12 +209,37 @@ def _write(path: str, chunks: Iterable[str]) -> None:
         raise
 
 
+def _write(path: str, chunks: Iterable[str]) -> None:
+    """Stream the chunks to path, replacing it whole or not at all (see ``_staged``)."""
+    with _staged(path) as tmp:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+
+
 def _records(text: str) -> Iterator[tuple[int, str]]:
-    """(line number, line) of each line that is neither blank nor a ``#`` comment."""
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    r"""(line number, line) of each line that is neither blank nor a ``#`` comment.
+    Only ``\n``, ``\r\n`` and ``\r`` end a line, so line numbers are the file's."""
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for line_no, raw in enumerate(lines, start=1):
         head = raw.lstrip()
         if head and not head.startswith("#"):
             yield line_no, raw
+
+
+def _fields(records: Iterable[tuple[int, str]], width: int, usage: str,
+            what: str) -> Iterator[tuple[int, list[str]]]:
+    """(line number, tab-separated fields) of each record. One of another width
+    raises ``usage.format(first field)``, a repeated first field ``duplicate <what>``."""
+    seen: set[str] = set()
+    for line_no, raw in records:
+        fields = raw.split("\t")
+        if len(fields) != width:
+            raise GraphFormatError(usage.format(fields[0]), line_no)
+        if fields[0] in seen:
+            raise GraphFormatError(f"duplicate {what} {fields[0]!r}", line_no)
+        seen.add(fields[0])
+        yield line_no, fields
 
 
 # record kind -> (allowed argument counts, usage, what it declares)
@@ -326,20 +350,13 @@ def save_graphs(graphs: Iterable[Graph], path: str) -> None:
 def parse_manifest(source: str | IO[str]) -> list[ManifestEntry]:
     """Parse a manifest TSV; graph ids must be unique."""
     text = source if isinstance(source, str) else source.read()
-    entries: dict[str, ManifestEntry] = {}
-    for line_no, raw in _records(text):
-        parts = raw.split("\t")
-        if len(parts) != 3:
-            raise GraphFormatError(
-                "expected: <graph_id><TAB><class_label><TAB><split>", line_no
-            )
-        graph_id, class_label, split = parts
+    entries = []
+    usage = "expected: <graph_id><TAB><class_label><TAB><split>"
+    for line_no, (graph_id, label, split) in _fields(_records(text), 3, usage, "graph id"):
         if split not in SPLITS:
             raise GraphFormatError(f"unknown split {split!r}", line_no)
-        if graph_id in entries:
-            raise GraphFormatError(f"duplicate graph id {graph_id!r}", line_no)
-        entries[graph_id] = ManifestEntry(graph_id, class_label, split)
-    return list(entries.values())
+        entries.append(ManifestEntry(graph_id, label, split))
+    return entries
 
 
 def load_manifest(path: str) -> list[ManifestEntry]:

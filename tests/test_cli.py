@@ -229,7 +229,8 @@ def test_embeddings_with_no_rows_or_a_repeated_id_exit_two(tmp_path, capsys):
 def test_non_finite_embedding_cells_exit_two(tmp_path, capsys):
     manifest = _write(tmp_path, "m.tsv", "c1\ta\tunsplit\nc2\tb\tunsplit\n")
     out = tmp_path / "out"
-    for cell in ("nan", "NaN", "inf", "-inf", "1e999", str(10**400)):  # kernels use doubles
+    for cell in ("nan", "NaN", "inf", "-inf", "1e999", str(10**400),  # kernels use doubles
+                 "bin0", ""):  # and no number at all
         emb = _write(tmp_path, "e.tsv",
                      f"graph_id\tbin0\tbin1\nc1\t1\t2\nc2\t0.5\t{cell}\n")
         for command in (["kernel"], ["knn", "--k", "1"]):
@@ -284,17 +285,31 @@ def test_a_failed_embed_leaves_neither_file(tmp_path, capsys, monkeypatch):
             f"error: [Errno 21] Is a directory: {str(out / name)!r}\n")
         assert os.listdir(out) == [name]  # no other file of the run, no temp file
         assert os.listdir(out / name) == []
+    afile = tmp_path / "afile"  # a regular file where --out would go
+    afile.write_bytes(b"x")
+    assert main(argv + ["--out", str(afile)]) == 2
+    assert capsys.readouterr().err == f"error: [Errno 17] File exists: {str(afile)!r}\n"
+    assert afile.read_bytes() == b"x"
 
     def full_disk(*args, **kwargs):
-        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), args[1])
 
-    # a write that fails after the walks removes the vocabulary written before it
+    # a write that fails after the walks leaves an earlier pair, or none, as it was
     monkeypatch.setattr(cli, "_pmap", real_pmap)
-    monkeypatch.setattr(cli, "write_embeddings", full_disk)
-    out = tmp_path / "full"
-    assert main(argv + ["--out", str(out)]) == 2
-    assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
-    assert os.listdir(out) == []
+    full, earlier = tmp_path / "full", tmp_path / "earlier"
+    assert main(argv + ["--out", str(earlier)]) == 0
+    capsys.readouterr()
+    pair = {name: (earlier / name).read_bytes() for name in os.listdir(earlier)}
+    for failing in ("write_embeddings", "write_vocabulary"):
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, failing, full_disk)
+            for out, before in ((full, {}), (earlier, pair)):
+                assert main(argv + ["--M", "5", "--out", str(out)]) == 2
+                target = out / ("embeddings.tsv" if failing == "write_embeddings"
+                                else "vocabulary.txt")  # not the staged vocabulary
+                assert capsys.readouterr().err == (
+                    f"error: [Errno 28] No space left on device: {str(target)!r}\n")
+                assert {name: (out / name).read_bytes() for name in os.listdir(out)} == before
 
 
 def test_embed_without_class_count_needs_a_override(tmp_path, capsys):

@@ -10,6 +10,7 @@ from graphlets import (
     GraphFormatError,
     parse_graph_file,
     parse_manifest,
+    read_embeddings,
     resolve_manifest,
     serialize_graph,
     serialize_graphs,
@@ -213,6 +214,8 @@ def test_manifest_round_trip_and_errors():
     entries = parse_manifest("g0\tpos\ttrain\ng1\tneg\ttest\n")
     assert [e.graph_id for e in entries] == ["g0", "g1"]
     assert entries[0].split == "train"
+    assert parse_manifest("g0\tpos\ttrain\r\ng1\tneg\ttest\r\n") == entries
+    assert parse_manifest("g0\tpos\ttrain\rg1\tneg\ttest") == entries
 
     with pytest.raises(GraphFormatError, match="unknown split"):
         parse_manifest("g0\tpos\tvalidation\n")
@@ -281,17 +284,33 @@ PARSER_ERRORS = (  # (parser, input text, exact message)
     ("ranks", "q1\t\n", "line 1: expected: <query_id><TAB><item1,item2,...>"),
     ("ranks", "q1\ta\tb\n", "line 1: expected: <query_id><TAB><item1,item2,...>"),
     ("ranks", "q1\ta,b\n# c\nq1\tb,a\n", "line 3: duplicate query id 'q1'"),
+    ("embeddings", "", "line 1: expected the header graph_id, bin0, ..., bin<w-1> (tabs)"),
+    ("embeddings", "# c\n\ngraph_id\tbin1\n",
+     "line 3: expected the header graph_id, bin0, ..., bin<w-1> (tabs)"),
+    ("embeddings", "# c\ngraph_id\tbin0\ng0\t1\n  \n# g0\t2\ng0\t3\n",
+     "line 6: duplicate graph id 'g0'"),
+    # only \n, \r\n and \r end a line: U+0085, U+2028, U+2029, \v and \f do not
+    ("graph", "t g\nv 0 a\x85b\nv 1 c\ne 0 1\n", "line 2: expected: v <node_id> [<label>]"),
+    ("graph", "t g\nv 0\fv 1\nv 2\n", "line 2: expected: v <node_id> [<label>]"),
+    ("graph", "t g\rv 0\r\nv 0\n", "line 3: duplicate node id 0"),
+    ("manifest", "g0\tpos\u2028\ttrain\r\ng0\tneg\ttest\r\n",
+     "line 2: duplicate graph id 'g0'"),
+    ("ranks", "q1\ta,b\u2029q2\tc\n", "line 1: expected: <query_id><TAB><item1,item2,...>"),
+    ("embeddings", "graph_id\tbin0\ng0\t1\vg1\t2\n", "line 2: row width mismatch for 'g0'"),
 )
 
 
 def test_every_parser_error_message_is_pinned(tmp_path):
-    path = tmp_path / "ranks.tsv"
+    path = tmp_path / "input.tsv"
 
-    def read_ranks(text):
-        path.write_text(text)
-        return cli._read_rankings(str(path))
+    def from_file(read):
+        def parse(text):
+            path.write_text(text, encoding="utf-8")
+            return read(str(path))
+        return parse
 
-    parsers = {"graph": parse_graph_file, "manifest": parse_manifest, "ranks": read_ranks}
+    parsers = {"graph": parse_graph_file, "manifest": parse_manifest,
+               "ranks": from_file(cli._read_rankings), "embeddings": from_file(read_embeddings)}
     for kind, text, message in PARSER_ERRORS:
         with pytest.raises(GraphFormatError) as info:
             parsers[kind](text)

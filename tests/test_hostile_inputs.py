@@ -1,0 +1,135 @@
+"""A seeded sweep of hostile inputs through ``cli.main``.
+
+Valid inputs built from ``synth`` graphs (graph file, manifest, embeddings
+and rankings) are mutated: a record dropped or duplicated, a token swapped
+or oversized, non-UTF-8 bytes added, CRLF or U+2028 line ends, or the file
+emptied. Every run must exit 0, 1 or 2 without an uncaught exception, and a
+run that fails must write no output file.
+"""
+
+import random
+import re
+
+from graphlets import ManifestEntry, save_graphs, save_manifest
+from graphlets.cli import main
+
+from synth import random_connected_graph
+
+MUTANTS_PER_FILE = 30
+BIG_TOKENS = (b"9" * 5000, b"x" * 5000, b"-" + b"9" * 400, b"1e999")
+
+
+def _drop(lines, rng):
+    del lines[rng.randrange(len(lines))]
+
+
+def _duplicate(lines, rng):
+    lines.insert(rng.randrange(len(lines) + 1), rng.choice(lines))
+
+
+def _token_slots(lines):
+    """Each line cut into tokens and the whitespace between them (the odd
+    pieces), and the (line, piece) index of every token."""
+    pieces = [re.split(rb"(\s+)", line) for line in lines]
+    return pieces, [(i, j) for i, p in enumerate(pieces) for j in range(0, len(p), 2) if p[j]]
+
+
+def _swap_tokens(lines, rng):
+    pieces, slots = _token_slots(lines)
+    (i, j), (k, m) = rng.choice(slots), rng.choice(slots)
+    pieces[i][j], pieces[k][m] = pieces[k][m], pieces[i][j]
+    lines[:] = [b"".join(p) for p in pieces]
+
+
+def _oversize_token(lines, rng):
+    pieces, slots = _token_slots(lines)
+    i, j = rng.choice(slots)
+    pieces[i][j] = rng.choice(BIG_TOKENS)
+    lines[i] = b"".join(pieces[i])
+
+
+def _non_utf8(lines, rng):
+    i = rng.randrange(len(lines))
+    at = rng.randrange(len(lines[i]) + 1)
+    bad = rng.choice((b"\xff", b"\xc3", b"\x80\x80", b"\xed\xa0\x80"))
+    lines[i] = lines[i][:at] + bad + lines[i][at:]
+
+
+def _crlf(lines, rng):
+    lines[:-1] = [line + b"\r" for line in lines[:-1]]
+
+
+def _u2028(lines, rng):
+    i = rng.randrange(len(lines) - 1)
+    lines[i:i + 2] = [b"\xe2\x80\xa8".join(lines[i:i + 2])]
+
+
+def _empty(lines, rng):
+    lines.clear()
+
+
+MUTATIONS = (_drop, _duplicate, _swap_tokens, _oversize_token, _non_utf8, _crlf, _u2028,
+             _empty)
+
+
+def _mutants(data: bytes, rng):
+    """(name, bytes) of MUTANTS_PER_FILE mutants of data, each mutation in turn."""
+    for n in range(MUTANTS_PER_FILE):
+        mutate = MUTATIONS[n % len(MUTATIONS)]
+        lines = data.split(b"\n")  # the last one is the empty rest after the final \n
+        mutate(lines, rng)
+        yield mutate.__name__, b"\n".join(lines)
+
+
+def test_mutated_inputs_exit_cleanly_and_leave_no_output(tmp_path, capsys):
+    rng = random.Random(1)
+    graphs = [random_connected_graph(f"g{i}", rng.randint(4, 7), rng.randint(0, 3), rng,
+                                     labeled=True) for i in range(6)]
+    entries = [ManifestEntry(g.id, "ab"[i % 2], ("train", "test")[i % 3 == 2])
+               for i, g in enumerate(graphs)]
+    valid = {name: str(tmp_path / name) for name in ("g.txt", "m.tsv", "emb", "ranks.tsv")}
+    save_graphs(graphs, valid["g.txt"])
+    save_manifest(entries, valid["m.tsv"])
+    embed = ["embed", "--graphs", valid["g.txt"], "--manifest", valid["m.tsv"],
+             "--T", "3", "--M", "3"]
+    assert main(embed + ["--out", valid["emb"]]) == 0
+    valid["emb"] += "/embeddings.tsv"
+    with open(valid["ranks.tsv"], "w") as fh:
+        for g in graphs:
+            fh.write(f"{g.id}\t{','.join(rng.sample('abcd', 4))}\n")
+    capsys.readouterr()
+
+    def commands(name, path):
+        """The argument vectors that read path in place of the valid input name."""
+        given = dict(valid, **{name: path})
+        embed = ["embed", "--graphs", given["g.txt"], "--manifest", given["m.tsv"],
+                 "--T", "3", "--M", "3"]
+        kernel = ["--embeddings", given["emb"], "--manifest", given["m.tsv"]]
+        rho = ["rho", "--system-ranks", path, "--truth-ranks", valid["ranks.tsv"]]
+        return {"g.txt": [embed, embed + ["--labeled"]],
+                "m.tsv": [embed, ["knn", "--k", "1"] + kernel],
+                "emb": [["kernel"] + kernel, ["knn", "--k", "2"] + kernel],
+                "ranks.tsv": [rho, ["rho", "--system-ranks", valid["ranks.tsv"],
+                                    "--truth-ranks", path]]}[name]
+
+    runs = 0
+    for name, path in valid.items():
+        with open(path, "rb") as fh:
+            data = fh.read()
+        for n, (mutation, mutant) in enumerate(_mutants(data, rng)):
+            bad = tmp_path / f"{name}.{n}.bad"
+            bad.write_bytes(mutant)
+            for argv in commands(name, str(bad)):
+                out = tmp_path / f"out{runs}"
+                case = (name, mutation, mutant[:200], argv[0])
+                try:
+                    rc = main(argv + ["--out", str(out)])
+                except Exception as exc:  # main lets only unexpected errors through
+                    raise AssertionError(f"uncaught exception on {case}") from exc
+                err = capsys.readouterr().err
+                assert rc in (0, 1, 2), case
+                assert "Traceback" not in err, case
+                if rc:
+                    assert not out.exists() or not any(out.iterdir()), case
+                runs += 1
+    assert runs == 2 * len(valid) * MUTANTS_PER_FILE
