@@ -1,5 +1,6 @@
 """Exhaustive enumeration of connected graphs by edge count, an exact
-isomorphism oracle, and hash-function collision reports.
+isomorphism oracle, and hash-function collision reports. Every graphlet
+invariant they read, the relabelled edge key included, is in ``hashing``.
 
 Collision measurement convention: feeding all class representatives of
 one size through a hash table, every insertion that hits an occupied
@@ -19,19 +20,19 @@ fine, so their real collision rate is bounded by the reported one.
 
 Enumeration extends each representative of one size by every single
 edge. Each child's relabelled edge key (its edge set after renumbering
-the nodes by neighbour-degree code, see ``_relabelled_key``) is taken
-from codes derived from the parent's (``_children``), before the child
-is built. A child whose key an earlier child of the same size already
-had is isomorphic to that child and is dropped at once; equal keys
-prove isomorphism, so the first child of each class is still the one
-kept. Only the other children are built, and each is deduped against
-the kept representatives with the same sorted codes (an unlabelled
-node's code fixes its degree, so this is its signature bucket); a
-child alone in its bucket needs no search. One enumeration call keeps
-the keys, the buckets and one oracle profile (labelled adjacency, node
-signatures and the search's placement order) per graphlet that took
-part in a search, and drops them all when it returns;
-``is_isomorphic`` runs the same search on two fresh profiles.
+the nodes by neighbour-degree code, see ``hashing._relabelled_key``) is
+taken from codes derived from the parent's (``_children``), before the
+child is built. A child whose key an earlier child of the same size
+already had is isomorphic to that child and is dropped at once; equal
+keys prove isomorphism, so the first child of each class is still the
+one kept. Only the other children are built, and each is deduped
+against the kept representatives with the same sorted codes (an
+unlabelled node's code fixes its degree, so this is its signature
+bucket); a child alone in its bucket needs no search. One enumeration
+call keeps the keys, the buckets and one oracle profile (labelled
+adjacency, node signatures and the search's placement order) per
+graphlet that took part in a search, and drops them all when it
+returns; ``is_isomorphic`` runs the same search on two fresh profiles.
 """
 
 from __future__ import annotations
@@ -41,7 +42,8 @@ from itertools import combinations
 from typing import Iterator, NamedTuple
 
 from .graphs import Graph, Graphlet, _check_labels, _write, adjacency_lists, serialize_graph
-from .hashing import _numerators, _ratio, measure_values, resolve_hash_function
+from .hashing import (_codes, _finer_codes, _numerators, _ratio, _relabelled_key, measure_values,
+                      resolve_hash_function)
 
 MAX_ORACLE_NODES = 12
 MAX_ENUM_EDGES = 10
@@ -54,59 +56,6 @@ class _Profile(NamedTuple):
     sig: list[tuple]  # per node: degree, label, neighbour-degree code
     by_sig: dict[tuple, list[int]]  # signature -> nodes carrying it, ascending
     order: list[int]  # placement order of the search
-
-
-def _codes(n: int, edges) -> tuple[list[int], list[int]]:
-    """Per-node degrees and neighbour-degree codes of a graphlet.
-
-    A node's code is the sum of ``16 ** degree(w)`` over its neighbours
-    w: a base-16 numeral whose digit d counts the neighbours of degree
-    d. Up to ``MAX_ORACLE_NODES`` = 12 nodes, degrees and digits are at
-    most 11, so the code names the multiset of neighbour degrees exactly.
-    """
-    deg = [0] * n
-    for u, v in edges:
-        deg[u] += 1
-        deg[v] += 1
-    code = [0] * n
-    for u, v in edges:
-        code[u] += 1 << 4 * deg[v]
-        code[v] += 1 << 4 * deg[u]
-    return deg, code
-
-
-# _EDGE_BITS[16 * a + b]: the key bits of edge (a, b) between renumbered nodes
-_EDGE_BITS = [1 << (a << 4 | b) | 1 << (b << 4 | a) for a in range(16) for b in range(16)]
-
-
-def _relabelled_key(code: list[int], edges) -> int:
-    """The edge set after renumbering the nodes by code, as one int.
-
-    The nodes are renumbered 0..n-1 in (code, index) order, and bit
-    ``16 * r_u + r_v`` is set for each edge (u, v), both ways round. Up
-    to 16 nodes this one int fixes the renumbered edge set, and with it
-    the node count of a graphlet with edges: an isolated node's code is
-    0, so the highest-numbered node has an edge. Two graphlets with one
-    key are then isomorphic whatever the ties in the ranking: a tie only
-    costs a hit. The key ignores labels.
-    """
-    order = sorted(range(len(code)), key=code.__getitem__)
-    rank = sorted(range(len(order)), key=order.__getitem__)  # the inverse of order
-    key = 0
-    for u, v in edges:
-        key |= _EDGE_BITS[rank[u] << 4 | rank[v]]
-    return key
-
-
-def _finer_codes(code: list[int], edges) -> list[int]:
-    """Each node's code followed by the sum of its neighbours' codes, as
-    one int: a code is below ``16 ** 12``, so a sum over at most 11
-    neighbours is below ``2 ** 52``. Ranked by these, fewer nodes tie."""
-    near = [0] * len(code)
-    for u, v in edges:
-        near[u] += code[v]
-        near[v] += code[u]
-    return [c << 52 | s for c, s in zip(code, near)]
 
 
 def _profile(g: Graphlet) -> _Profile:

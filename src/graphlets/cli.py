@@ -26,8 +26,8 @@ from importlib import import_module
 from itertools import accumulate, chain
 
 from . import _EXPORTS, _MODULE_OF, __version__
-from .graphs import (GraphFormatError, _fields, _read, _records, _staged, _write, load_graphs,
-                     load_manifest, resolve_manifest)
+from .graphs import (GraphFormatError, _echo, _fields, _read, _records, _staged, _write,
+                     load_graphs, load_manifest, resolve_manifest)
 from .hashing import HASH_FUNCTIONS
 
 
@@ -180,6 +180,8 @@ def cmd_embed(args) -> int:
     _bind("embedding")
     graphs = load_graphs(args.graphs)
     manifest = load_manifest(args.manifest)
+    if not manifest:  # before --out is made
+        raise GraphFormatError(f"manifest {args.manifest!r} lists no graph")
     by_id = resolve_manifest(manifest, graphs)
 
     selected = []
@@ -188,12 +190,12 @@ def cmd_embed(args) -> int:
         if args.labeled:
             if g.node_labels is None and g.edge_labels is None:
                 raise GraphFormatError(
-                    f"--labeled given but graph {g.id!r} carries no labels"
+                    f"--labeled given but graph {_echo(g.id)} carries no labels"
                 )
         else:
             g = g._replace(node_labels=None, edge_labels=None)
         if g.n_edges == 0:
-            raise GraphFormatError(f"graph {g.id!r} has no edges")
+            raise GraphFormatError(f"graph {_echo(g.id)} has no edges")
         selected.append(g)
 
     vocab_path, emb_path = _out(args, "vocabulary.txt"), _out(args, "embeddings.tsv")
@@ -243,7 +245,7 @@ def _kernel(args) -> tuple:
              else {e.graph_id: e.class_label for e in load_manifest(args.manifest)})
     missing = [gid for gid in ids if gid not in by_id]
     if missing:
-        raise GraphFormatError(f"embeddings not covered by manifest: {missing}")
+        raise GraphFormatError(f"embeddings not covered by manifest: {_echo(missing)}")
     return ids, [by_id[gid] for gid in ids], kernel_matrix(rows, spec)
 
 
@@ -299,7 +301,7 @@ def cmd_rho(args) -> int:
     truth = _read_rankings(args.truth_ranks)
     missing = [qid for qid in system if qid not in truth]
     if missing:
-        raise GraphFormatError(f"queries missing from truth ranks: {missing}")
+        raise GraphFormatError(f"queries missing from truth ranks: {_echo(missing)}")
     scores = [rho_score(ranking_pair(ranking, truth[qid])) for qid, ranking in system.items()]
     if not scores:
         raise GraphFormatError("no queries in system ranks file")

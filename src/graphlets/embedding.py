@@ -19,7 +19,7 @@ import sys
 from collections import Counter
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .graphs import Graph, GraphFormatError, _fields, _read, _records, _write
+from .graphs import Graph, GraphFormatError, _echo, _fields, _read, _records, _write
 from .hashing import _code, _measure_key, resolve_hash_function
 from .hashing import hash_code  # noqa: F401  (not called here; the benchmark wraps the name)
 from .sampling import SamplerParams, labelled_graphlets, walks
@@ -148,7 +148,7 @@ def _parse_cell(cell: str, graph_id: str) -> float | int:
             value = float("nan")
     if abs(value) <= _FLOAT_MAX:  # false for nan, inf and ints a double cannot hold
         return value
-    raise ValueError(f"graph {graph_id!r}: cell {cell!r} is not a finite number")
+    raise ValueError(f"graph {_echo(graph_id)}: cell {_echo(cell)} is not a finite number")
 
 
 def read_embeddings(path: str) -> tuple[list[str], list[list]]:
@@ -165,7 +165,7 @@ def read_embeddings(path: str) -> tuple[list[str], list[list]]:
         raise GraphFormatError("expected the header graph_id, bin0, ..., bin<w-1> (tabs)", at)
     ids: list[str] = []
     rows: list[list] = []
-    for _, (graph_id, *cells) in _fields(records, width + 1, "row width mismatch for {!r}",
+    for _, (graph_id, *cells) in _fields(records, width + 1, "row width mismatch for {}",
                                          "graph id"):
         ids.append(graph_id)
         rows.append([_parse_cell(c, graph_id) for c in cells])

@@ -23,7 +23,8 @@ split is one of ``train``, ``valid``, ``test``, ``unsplit``.
 Every input file is read by ``_read``; ``_records`` cuts it into records,
 the lines (ended only by ``\n``, ``\r\n`` or ``\r``) that are neither blank
 nor ``#`` comments, and ``_fields`` splits the TSV ones and checks their
-width and first field. Every parse error names its line in the file.
+width and first field. Every parse error names its line in the file, a
+byte that is not UTF-8 included, and quotes input only through ``_echo``.
 Every output file of the package is written by ``_write``, whole or not at all.
 """
 
@@ -154,6 +155,16 @@ class ManifestEntry(NamedTuple):
     split: str
 
 
+def _echo(value: str | int | list) -> str:
+    """repr(value) for an error message, cut after 60 characters and then
+    ended by the size of value, so that no input makes a message long."""
+    text = repr(value)
+    if len(text) <= 60:
+        return text
+    size = f"{len(value)} items" if isinstance(value, list) else f"{len(str(value))} characters"
+    return f"{text[:60]}... ({size})"
+
+
 def _is_token(s: str) -> bool:
     """True if s is a string that is one token: not empty, no whitespace."""
     return str(s).split() == [s]
@@ -165,15 +176,15 @@ def _check_id(graph_id: str, line: int | None = None) -> None:
     line and a manifest line can both carry."""
     if not _is_token(graph_id) or graph_id.startswith("#"):
         raise GraphFormatError(
-            f"graph id {graph_id!r} must be one token that does not start with '#'", line
+            f"graph id {_echo(graph_id)} must be one token that does not start with '#'", line
         )
 
 
 def _check_label(label: str | None, line: int | None = None) -> None:
     if label is not None and not _is_token(label):  # a label is one token of its v or e line
-        raise GraphFormatError(f"label {label!r} must be one token", line)
+        raise GraphFormatError(f"label {_echo(label)} must be one token", line)
     if label is not None and ("," in label or "|" in label):  # hash-code key separators
-        raise GraphFormatError(f"label {label!r} contains ',' or '|'", line)
+        raise GraphFormatError(f"label {_echo(label)} contains ',' or '|'", line)
 
 
 def _check_labels(g: Graph | Graphlet, what: str = "graphlet") -> None:
@@ -188,9 +199,16 @@ def _check_labels(g: Graph | Graphlet, what: str = "graphlet") -> None:
 
 
 def _read(path: str) -> str:
-    """The text of a UTF-8 input file."""
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
+    """The text of a UTF-8 input file. A byte that is not UTF-8 raises a
+    GraphFormatError naming its line, counted by the rule of ``_records``."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data[: exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n").count(b"\n") + 1
+        bad = f"byte 0x{data[exc.start]:02x} is not UTF-8 ({exc.reason})"
+        raise GraphFormatError(bad, line) from None
 
 
 @contextmanager
@@ -229,15 +247,15 @@ def _records(text: str) -> Iterator[tuple[int, str]]:
 
 def _fields(records: Iterable[tuple[int, str]], width: int, usage: str,
             what: str) -> Iterator[tuple[int, list[str]]]:
-    """(line number, tab-separated fields) of each record. One of another width
-    raises ``usage.format(first field)``, a repeated first field ``duplicate <what>``."""
+    """(line number, tab-separated fields) of each record. One of another width raises
+    ``usage.format(_echo(first field))``, a repeated first field ``duplicate <what>``."""
     seen: set[str] = set()
     for line_no, raw in records:
         fields = raw.split("\t")
         if len(fields) != width:
-            raise GraphFormatError(usage.format(fields[0]), line_no)
+            raise GraphFormatError(usage.format(_echo(fields[0])), line_no)
         if fields[0] in seen:
-            raise GraphFormatError(f"duplicate {what} {fields[0]!r}", line_no)
+            raise GraphFormatError(f"duplicate {what} {_echo(fields[0])}", line_no)
         seen.add(fields[0])
         yield line_no, fields
 
@@ -250,10 +268,12 @@ _RECORDS = {
 }
 
 
-def _add(items: dict, key, label: str | None, line: int, what: str, dup: str) -> None:
-    """Record a node or edge of the graph in progress, checking its label."""
+def _add(items: dict, key, label: str | None, line: int, what: str, dup: str,
+         ids: list[int]) -> None:
+    """Record a node or edge of the graph in progress, checking its label;
+    a repeated key raises the ``dup`` template filled with ``ids``."""
     if key in items:
-        raise GraphFormatError(dup, line)
+        raise GraphFormatError(dup.format(*map(_echo, ids)), line)
     _check_label(label, line)
     if items and (label is None) != (next(iter(items.values())) is None):
         raise GraphFormatError(f"mixed {what} labelling within one graph", line)
@@ -263,11 +283,11 @@ def _add(items: dict, key, label: str | None, line: int, what: str, dup: str) ->
 def _finish(graph_id: str, line: int, nodes: dict, edges: dict) -> Graph:
     """The Graph of a finished ``t`` block; its checks report the ``t`` line."""
     if not nodes:
-        raise GraphFormatError(f"graph {graph_id!r} declares no nodes", line)
+        raise GraphFormatError(f"graph {_echo(graph_id)} declares no nodes", line)
     n = len(nodes)
     if sorted(nodes) != list(range(n)):
         raise GraphFormatError(
-            f"graph {graph_id!r}: node ids must be contiguous 0..{n - 1}", line
+            f"graph {_echo(graph_id)}: node ids must be contiguous 0..{n - 1}", line
         )
     ordered = sorted(edges)
     node_labels = tuple(nodes[i] for i in range(n))
@@ -286,7 +306,7 @@ def parse_graph_file(source: str | IO[str]) -> list[Graph]:
     for line_no, raw in _records(text):
         kind, *args = raw.split()
         if kind not in _RECORDS:
-            raise GraphFormatError(f"unknown record type {kind!r}", line_no)
+            raise GraphFormatError(f"unknown record type {_echo(kind)}", line_no)
         counts, usage, what = _RECORDS[kind]
         if current is None and kind != "t":
             raise GraphFormatError(f"{what} declared before any 't' line", line_no)
@@ -297,7 +317,7 @@ def parse_graph_file(source: str | IO[str]) -> list[Graph]:
                 graphs.append(_finish(*current))
             _check_id(args[0], line_no)
             if args[0] in seen_ids:
-                raise GraphFormatError(f"duplicate graph id {args[0]!r}", line_no)
+                raise GraphFormatError(f"duplicate graph id {_echo(args[0])}", line_no)
             seen_ids.add(args[0])
             current = (args[0], line_no, {}, {})
             continue
@@ -305,20 +325,20 @@ def parse_graph_file(source: str | IO[str]) -> list[Graph]:
         try:
             ids = [int(token) for token in args[: counts[0]]]
         except ValueError:
-            bad = f"invalid node id {args[0]!r}" if kind == "v" else "invalid edge endpoints"
+            bad = f"invalid node id {_echo(args[0])}" if kind == "v" else "invalid edge endpoints"
             raise GraphFormatError(bad, line_no) from None
         _, _, nodes, edges = current
         if kind == "v":
-            _add(nodes, ids[0], label, line_no, what, f"duplicate node id {ids[0]}")
+            _add(nodes, ids[0], label, line_no, what, "duplicate node id {}", ids)
             continue
         u, v = ids
         if u == v:
-            raise GraphFormatError(f"self-loop at node {u}", line_no)
+            raise GraphFormatError(f"self-loop at node {_echo(u)}", line_no)
         if u not in nodes or v not in nodes:
             raise GraphFormatError(
-                f"edge ({u}, {v}) references an undeclared node", line_no
+                f"edge ({_echo(u)}, {_echo(v)}) references an undeclared node", line_no
             )
-        _add(edges, edge_key(u, v), label, line_no, what, f"duplicate edge ({u}, {v})")
+        _add(edges, edge_key(u, v), label, line_no, what, "duplicate edge ({}, {})", ids)
     if current is not None:
         graphs.append(_finish(*current))
     return graphs
@@ -354,7 +374,7 @@ def parse_manifest(source: str | IO[str]) -> list[ManifestEntry]:
     usage = "expected: <graph_id><TAB><class_label><TAB><split>"
     for line_no, (graph_id, label, split) in _fields(_records(text), 3, usage, "graph id"):
         if split not in SPLITS:
-            raise GraphFormatError(f"unknown split {split!r}", line_no)
+            raise GraphFormatError(f"unknown split {_echo(split)}", line_no)
         entries.append(ManifestEntry(graph_id, label, split))
     return entries
 
@@ -374,5 +394,5 @@ def resolve_manifest(
     by_id = {g.id: g for g in graphs}
     missing = [e.graph_id for e in entries if e.graph_id not in by_id]
     if missing:
-        raise GraphFormatError(f"manifest ids not found in graph file: {missing}")
+        raise GraphFormatError(f"manifest ids not found in graph file: {_echo(missing)}")
     return by_id

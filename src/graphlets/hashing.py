@@ -1,9 +1,10 @@
-"""Permutation-invariant hash codes for graphlets.
-
-Each code is built from one per-node topological measure (degree, core
-number, local clustering coefficient, or betweenness centrality),
-sorted into a canonical ascending vector. Every measure has one exact
-form, ``_numerators``: integer numerators in node order over one common
+"""Permutation-invariant hash codes for graphlets, and every per-node
+invariant of a graphlet: the four measures, the neighbour-degree codes
+(``_codes``) and the relabelled edge key (``_relabelled_key``). Each
+code is built from one per-node topological measure (degree, core
+number, local clustering coefficient, or betweenness centrality), sorted
+into a canonical ascending vector. Every measure has one exact form,
+``_numerators``: integer numerators in node order over one common
 denominator (1 for degree and core), so codes never depend on float
 formatting; ``measure_values`` is its ``Fraction`` view, and the only
 code here that builds a ``Fraction`` or imports ``fractions``. Labelled
@@ -44,9 +45,60 @@ def resolve_hash_function(fn: str, n_edges: int) -> str:
     return fn
 
 
-def degree_values(g: Graphlet) -> list[int]:
-    """Per-node degrees, in node order."""
-    return [len(ns) for ns in adjacency_lists(g.n_nodes, g.edges)]
+def _codes(n: int, edges) -> tuple[list[int], list[int]]:
+    """Per-node degrees and neighbour-degree codes of a graphlet.
+
+    A node's code is the sum of ``16 ** degree(w)`` over its neighbours
+    w: a base-16 numeral whose digit d counts the neighbours of degree
+    d. Up to 16 nodes, degrees and digits are at most 15, so the code
+    names the multiset of neighbour degrees exactly.
+    """
+    deg = [0] * n
+    for u, v in edges:
+        deg[u] += 1
+        deg[v] += 1
+    code = [0] * n
+    for u, v in edges:
+        code[u] += 1 << 4 * deg[v]
+        code[v] += 1 << 4 * deg[u]
+    return deg, code
+
+
+# _EDGE_BITS[16 * a + b]: the key bits of edge (a, b) between renumbered nodes
+_EDGE_BITS = [1 << (a << 4 | b) | 1 << (b << 4 | a) for a in range(16) for b in range(16)]
+
+
+def _relabelled_key(code: list[int], edges) -> int:
+    """The edge set after renumbering the nodes by code, as one int.
+
+    The nodes are renumbered 0..n-1 in (code, index) order, and bit
+    ``16 * r_u + r_v`` is set for each edge (u, v), both ways round. Up
+    to 16 nodes this one int fixes the renumbered edge set, and with it
+    the node count of a graphlet with edges: an isolated node's code is
+    0, so the highest-numbered node has an edge. Two graphlets with one
+    key are then isomorphic whatever the ties in the ranking: a tie only
+    costs a hit. The key ignores labels. Above 16 nodes ranks overflow
+    their 4 bits: graphlets of two classes can share a key, or the
+    lookup in ``_EDGE_BITS`` fails, so callers must guard the node count.
+    """
+    order = sorted(range(len(code)), key=code.__getitem__)
+    rank = sorted(range(len(order)), key=order.__getitem__)  # the inverse of order
+    key = 0
+    for u, v in edges:
+        key |= _EDGE_BITS[rank[u] << 4 | rank[v]]
+    return key
+
+
+def _finer_codes(code: list[int], edges) -> list[int]:
+    """Each node's code followed by the sum of its neighbours' codes, as
+    one int. Up to 12 nodes a code is below ``16 ** 12``, so a sum over
+    at most 11 neighbours is below ``2 ** 52`` and the two stay apart.
+    Ranked by these, fewer nodes tie."""
+    near = [0] * len(code)
+    for u, v in edges:
+        near[u] += code[v]
+        near[v] += code[u]
+    return [c << 52 | s for c, s in zip(code, near)]
 
 
 def core_values(g: Graphlet) -> list[int]:
@@ -135,7 +187,7 @@ def _numerators(fn: str, g: Graphlet) -> tuple[list[int], int]:
     Over one denominator the numerators sort and tie as the values do.
     """
     if fn == "degree":
-        return degree_values(g), 1
+        return _codes(g.n_nodes, g.edges)[0], 1
     if fn == "core":
         return core_values(g), 1
     if fn == "betweenness":

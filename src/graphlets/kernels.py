@@ -11,7 +11,7 @@ import math
 from collections import Counter, namedtuple
 from typing import Sequence
 
-from .graphs import _Checked, _is_token, _write
+from .graphs import _Checked, _echo, _is_token, _write
 
 KERNEL_KINDS = ("dot", "rbf", "hist_intersection", "cosine")
 
@@ -147,13 +147,13 @@ def ranking_pair(
         r_in_truth = truth_ranking.index(system_ranking[0]) + 1
     except ValueError:
         raise ValueError(
-            f"system's top item {system_ranking[0]!r} missing from truth ranking"
+            f"system's top item {_echo(system_ranking[0])} missing from truth ranking"
         ) from None
     try:
         r_in_system = system_ranking.index(truth_ranking[0]) + 1
     except ValueError:
         raise ValueError(
-            f"truth's top item {truth_ranking[0]!r} missing from system ranking"
+            f"truth's top item {_echo(truth_ranking[0])} missing from system ranking"
         ) from None
     return RankingPair(r_in_truth, r_in_system)
 
@@ -176,7 +176,7 @@ def write_precomputed_kernel(
         raise ValueError("labels do not align with the kernel matrix")
     bad = [lbl for lbl in labels if not _is_token(lbl)]  # empty or has whitespace
     if bad:
-        raise ValueError(f"class labels must be non-empty and whitespace-free: {bad[0]!r}")
+        raise ValueError(f"class labels must be non-empty and whitespace-free: {_echo(bad[0])}")
     row = " ".join(f"{j + 1}:%.17g" for j in range(n))  # one format call per row
     _write(path, (f"{labels[i]} 0:{i + 1} " + row % tuple(values) + "\n"
                   for i, values in enumerate(K.tolist())))

@@ -20,7 +20,7 @@ from graphlets import (
 from graphlets import audit
 from graphlets.audit import (_child, _children, _codes, _finer_codes, _profile, _relabelled_key,
                              _same_class, audit_code)
-from graphlets.hashing import degree_values
+from graphlets.hashing import measure_values
 
 from oracles import (
     check_graphlet,
@@ -47,7 +47,7 @@ def test_enumerated_graphs_are_valid_and_connected():
 
 
 def test_three_edge_classes_are_path_star_triangle():
-    vectors = {tuple(sorted(degree_values(g))) for g in enumerate_connected(3)}
+    vectors = {tuple(sorted(measure_values(g, "degree"))) for g in enumerate_connected(3)}
     assert vectors == {(1, 1, 2, 2), (1, 1, 1, 3), (2, 2, 2)}
 
 
@@ -69,7 +69,7 @@ def test_same_degree_sequence_non_isomorphic_pair():
     # a 4-cycle with a tail vs a triangle with a 2-edge tail
     tadpole41 = Graphlet(5, ((0, 1), (0, 3), (1, 2), (2, 3), (3, 4)))
     tadpole32 = Graphlet(5, ((0, 1), (0, 2), (1, 2), (2, 3), (3, 4)))
-    degrees = [sorted(degree_values(g)) for g in (tadpole41, tadpole32)]
+    degrees = [sorted(measure_values(g, "degree")) for g in (tadpole41, tadpole32)]
     assert degrees == [[1, 2, 2, 2, 3]] * 2
     assert not is_isomorphic(tadpole41, tadpole32)
 
@@ -129,7 +129,7 @@ def test_oracle_equals_permutation_search_on_small_graphlets():
     # distinct classes with equal degree sequences, plain and labelled alike
     for t in range(1, 7):
         for a, b in combinations(enumerate_connected(t), 2):
-            if sorted(degree_values(a)) == sorted(degree_values(b)):
+            if sorted(measure_values(a, "degree")) == sorted(measure_values(b, "degree")):
                 pairs.append((a, permute_graphlet(b, rng)))
                 la = Graphlet(a.n_nodes, a.edges, ("A",) * a.n_nodes, ("x",) * t)
                 lb = Graphlet(b.n_nodes, b.edges, ("A",) * b.n_nodes, ("x",) * t)

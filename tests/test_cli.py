@@ -156,6 +156,12 @@ def test_data_errors_exit_two(tmp_path, capsys):
     assert main(["knn", "--embeddings", emb, "--manifest", manifest, "--k", "1",
                  "--out", str(out)]) == 2
     assert "k must be in 1..0" in capsys.readouterr().err
+    for text in ("", "# only a comment\n\n"):  # a manifest that lists no graph
+        empty = _write(tmp_path, "empty.tsv", text)
+        assert main(["embed", "--graphs", graphs, "--manifest", empty, "--T", "3",
+                     "--M", "2", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: manifest {empty!r} lists no graph\n"
+        assert not out.exists()
 
 
 def test_walk_budget_above_the_bound_exits_two(tmp_path, capsys):
@@ -236,8 +242,9 @@ def test_non_finite_embedding_cells_exit_two(tmp_path, capsys):
         for command in (["kernel"], ["knn", "--k", "1"]):
             assert main(command + ["--embeddings", emb, "--manifest", manifest,
                                    "--out", str(out)]) == 2
+            shown = repr(cell) if len(cell) < 50 else f"{cell!r:.60}... ({len(cell)} characters)"
             assert capsys.readouterr().err == (
-                f"error: graph 'c2': cell {cell!r} is not a finite number\n")
+                f"error: graph 'c2': cell {shown} is not a finite number\n")
     assert not out.exists()
 
 

@@ -11,7 +11,8 @@ from graphlets import (
     is_isomorphic,
     resolve_hash_function,
 )
-from graphlets.hashing import HASH_FUNCTIONS, measure_values
+from graphlets.hashing import (HASH_FUNCTIONS, _codes, _finer_codes, _relabelled_key,
+                               measure_values)
 
 from oracles import (
     betweenness_all_pairs,
@@ -20,7 +21,7 @@ from oracles import (
     core_by_threshold,
     reference_code_key,
 )
-from synth import permute_graphlet, random_graphlet
+from synth import permute_graphlet, random_connected_graph, random_graphlet
 
 TRIANGLE = Graphlet(3, ((0, 1), (0, 2), (1, 2)))
 PATH2 = Graphlet(3, ((0, 1), (1, 2)))
@@ -189,6 +190,45 @@ def test_permutation_invariance_random_quick():
 def test_node_labels_only_graphlets_hash():
     g = Graphlet(3, ((0, 1), (1, 2)), node_labels=("A", "B", "C"))
     assert hash_code(g, "degree") == "2|degree|1,1,2|A,C,B|"
+
+
+def _ranked(code):
+    """(node -> rank, rank -> node) in (code, node) order, as the relabelled key ranks."""
+    order = sorted(range(len(code)), key=lambda u: (code[u], u))
+    return {u: r for r, u in enumerate(order)}, order
+
+
+def test_equal_keys_map_one_edge_set_onto_the_other_up_to_16_nodes():
+    # no oracle (it stops at 12 nodes): when two graphlets share a key,
+    # u -> order2[rank1[u]] must carry g1's edges onto g2's, ties or not
+    rng = random.Random(61)
+    first = {}
+    checked = 0
+    for _ in range(300):
+        n = rng.randint(2, 16)
+        g = random_connected_graph("g", n, rng.randint(0, n), rng)
+        for h in [Graphlet(n, g.edges)] + [permute_graphlet(Graphlet(n, g.edges), rng)
+                                           for _ in range(3)]:
+            code = _codes(h.n_nodes, h.edges)[1]
+            for kind, ranked_by in (("codes", code), ("finer", _finer_codes(code, h.edges))):
+                key = (kind, _relabelled_key(ranked_by, h.edges))
+                if key not in first:
+                    first[key] = (h, ranked_by)
+                    continue
+                g1, by1 = first[key]
+                rank1, _ = _ranked(by1)
+                _, order2 = _ranked(ranked_by)
+                image = {tuple(sorted((order2[rank1[u]], order2[rank1[v]]))) for u, v in g1.edges}
+                assert image == set(h.edges), (kind, g1, h)
+                checked += 1
+    assert checked > 800, checked
+
+
+def test_the_key_aliases_above_16_nodes():
+    # ranks have 4 bits: the 17th node's edge to the hub reads as edge (1, 0)
+    stars = [Graphlet(n, tuple((0, v) for v in range(1, n))) for n in (16, 17)]
+    keys = [_relabelled_key(_codes(g.n_nodes, g.edges)[1], g.edges) for g in stars]
+    assert keys[0] == keys[1]
 
 
 def test_resolve_auto_threshold():

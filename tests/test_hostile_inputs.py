@@ -3,8 +3,9 @@
 Valid inputs built from ``synth`` graphs (graph file, manifest, embeddings
 and rankings) are mutated: a record dropped or duplicated, a token swapped
 or oversized, non-UTF-8 bytes added, CRLF or U+2028 line ends, or the file
-emptied. Every run must exit 0, 1 or 2 without an uncaught exception, and a
-run that fails must write no output file.
+emptied. Every run must exit 0, 1 or 2 without an uncaught exception and
+with a short message, a byte that is not UTF-8 must be named with its line,
+and a run that fails must write no output file.
 """
 
 import random
@@ -17,6 +18,7 @@ from synth import random_connected_graph
 
 MUTANTS_PER_FILE = 30
 BIG_TOKENS = (b"9" * 5000, b"x" * 5000, b"-" + b"9" * 400, b"1e999")
+MAX_STDERR = 300  # characters: an error message echoes a long token or id list cut short
 
 
 def _drop(lines, rng):
@@ -129,7 +131,56 @@ def test_mutated_inputs_exit_cleanly_and_leave_no_output(tmp_path, capsys):
                 err = capsys.readouterr().err
                 assert rc in (0, 1, 2), case
                 assert "Traceback" not in err, case
+                assert len(err) < MAX_STDERR, (case, err[:400])
+                if mutation == "_non_utf8":  # every command reads the mutant whole first
+                    assert rc == 2 and re.search(r"^error: line \d+: byte 0x", err), (case, err)
                 if rc:
                     assert not out.exists() or not any(out.iterdir()), case
                 runs += 1
     assert runs == 2 * len(valid) * MUTANTS_PER_FILE
+
+
+def test_a_byte_that_is_not_utf8_names_its_line(tmp_path, capsys):
+    # lines end at \n, \r\n or \r, as every reader counts them
+    manifest = tmp_path / "m.tsv"
+    manifest.write_bytes(b"g\ta\ttrain\n")
+    out = tmp_path / "out"
+    for text, message in ((b"t g\nv 0 \xff\n",
+                           "line 2: byte 0xff is not UTF-8 (invalid start byte)"),
+                          (b"# c\r\n\r\rt g\rv 0 a\xc3",
+                           "line 5: byte 0xc3 is not UTF-8 (unexpected end of data)"),
+                          (b"t g\r\nv 0 a\r\nv 1 \xed\xa0\x80\r\n",
+                           "line 3: byte 0xed is not UTF-8 (invalid continuation byte)")):
+        graphs = tmp_path / "g.txt"
+        graphs.write_bytes(text)
+        assert main(["embed", "--graphs", str(graphs), "--manifest", str(manifest),
+                     "--T", "1", "--M", "1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_long_lists_of_ids_are_cut_short(tmp_path, capsys):
+    ids = [f"graph{i}" for i in range(2000)]
+    one = tmp_path / "one.txt"
+    one.write_text("t graph0\nv 0\nv 1\ne 0 1\n")
+    manifest = tmp_path / "m.tsv"
+    manifest.write_text("".join(f"{i}\tc\ttrain\n" for i in ids))
+    first = tmp_path / "first.tsv"
+    first.write_text("graph0\tc\ttrain\n")
+    emb = tmp_path / "e.tsv"
+    emb.write_text("graph_id\tbin0\n" + "".join(f"{i}\t1\n" for i in ids))
+    ranks, truth = tmp_path / "r.tsv", tmp_path / "t.tsv"
+    ranks.write_text("".join(f"{i}\ta,b\n" for i in ids))
+    truth.write_text("graph0\ta,b\n")
+    out = str(tmp_path / "out")
+    for argv, words in (
+            (["embed", "--graphs", one, "--manifest", manifest, "--T", "1", "--M", "1"],
+             "manifest ids not found in graph file: ['graph1', 'graph2',"),
+            (["kernel", "--embeddings", emb, "--manifest", first],
+             "embeddings not covered by manifest: ['graph1', 'graph2',"),
+            (["rho", "--system-ranks", ranks, "--truth-ranks", truth],
+             "queries missing from truth ranks: ['graph1', 'graph2',")):
+        assert main([str(a) for a in argv] + ["--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {words}") and err.endswith("... (1999 items)\n"), err
+        assert len(err) < MAX_STDERR, err
