@@ -66,6 +66,8 @@ class UsageError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # exit code 1 instead of argparse's 2
+        if len(message) > 200:  # argparse quotes a command-line value whole
+            message = f"{message[:200]}... ({len(message)} characters)"
         raise UsageError(f"{self.prog}: {message}")
 
 

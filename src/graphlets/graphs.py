@@ -200,13 +200,13 @@ def _check_labels(g: Graph | Graphlet, what: str = "graphlet") -> None:
 
 def _read(path: str) -> str:
     """The text of a UTF-8 input file. A byte that is not UTF-8 raises a
-    GraphFormatError naming its line, counted by the rule of ``_records``."""
+    GraphFormatError naming its line, counted by ``_lines``."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line = data[: exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n").count(b"\n") + 1
+        line = len(_lines(data[: exc.start].decode("utf-8")))
         bad = f"byte 0x{data[exc.start]:02x} is not UTF-8 ({exc.reason})"
         raise GraphFormatError(bad, line) from None
 
@@ -235,11 +235,16 @@ def _write(path: str, chunks: Iterable[str]) -> None:
         os.replace(tmp, path)
 
 
+def _lines(text: str) -> list[str]:
+    r"""The lines of text. Only ``\n``, ``\r\n`` and ``\r`` end a line, so
+    line numbers are the file's."""
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
 def _records(text: str) -> Iterator[tuple[int, str]]:
-    r"""(line number, line) of each line that is neither blank nor a ``#`` comment.
-    Only ``\n``, ``\r\n`` and ``\r`` end a line, so line numbers are the file's."""
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    for line_no, raw in enumerate(lines, start=1):
+    """(line number, line) of each of ``_lines`` that is neither blank nor a
+    ``#`` comment."""
+    for line_no, raw in enumerate(_lines(text), start=1):
         head = raw.lstrip()
         if head and not head.startswith("#"):
             yield line_no, raw

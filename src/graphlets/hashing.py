@@ -104,10 +104,10 @@ def _finer_codes(code: list[int], edges) -> list[int]:
 def core_values(g: Graphlet) -> list[int]:
     """Per-node core numbers, in node order.
 
-    Computed by peeling: at each level k, from 0 up, nodes of degree at
-    most k are removed one at a time, their neighbours' degrees falling
-    with them, until every node left has degree above k; the nodes
-    removed at level k have core number k.
+    Computed by peeling by level: at level k, from 0 up, every node left
+    whose remaining degree is at most k is removed, and its neighbours'
+    degrees fall by one; k rises only when no such node is left. The
+    nodes removed at level k have core number k.
     """
     adj = adjacency_lists(g.n_nodes, g.edges)
     deg = [len(ns) for ns in adj]
@@ -115,18 +115,14 @@ def core_values(g: Graphlet) -> list[int]:
     left = set(range(g.n_nodes))
     k = 0
     while left:
-        k = max(k, min(deg[u] for u in left))
         low = [u for u in left if deg[u] <= k]
+        if not low:
+            k += 1
         left.difference_update(low)
-        while low:
-            u = low.pop()
+        for u in low:
             core[u] = k
             for w in adj[u]:
-                if w in left:
-                    deg[w] -= 1
-                    if deg[w] == k:
-                        left.discard(w)
-                        low.append(w)
+                deg[w] -= 1
     return core
 
 
@@ -138,12 +134,13 @@ def _betweenness_numerators(g: Graphlet) -> tuple[list[int], int]:
     paths. Computed by Brandes' dependency accumulation in integers:
     for each source s, with L the lcm of its sigma values, A(w) =
     L / sigma_w + sum of A over w's BFS successors, and the dependency
-    of s on v is sigma_v * (sum of A over v's successors) / L. The
-    sources' dependencies are summed over the lcm of their L.
+    of s on v is sigma_v * (sum of A over v's successors) / L. Each
+    source's numerators are added into one running sum, the sum and the
+    source both rescaled to the lcm of the sum's denominator and L.
     """
     n = g.n_nodes
     adj = adjacency_lists(n, g.edges)
-    per_source: list[tuple[int, list[int]]] = []  # (L, dependency numerators)
+    num, den = [0] * n, 1
     for s in range(n):
         dist = [-1] * n
         sigma = [0] * n
@@ -165,13 +162,10 @@ def _betweenness_numerators(g: Graphlet) -> tuple[list[int], int]:
                 if dist[v] == dist[w] - 1:
                     succ_sum[v] += a
         succ_sum[s] = 0  # paths from s do not pass through s
-        per_source.append((lcm, [sigma[v] * succ_sum[v] for v in range(n)]))
-    den = math.lcm(*(lcm for lcm, _ in per_source))
-    num = [0] * n
-    for lcm, deps in per_source:
-        scale = den // lcm
-        for v in range(n):
-            num[v] += deps[v] * scale
+        total = math.lcm(den, lcm)
+        up, scale = total // den, total // lcm
+        num = [x * up + c * a * scale for x, c, a in zip(num, sigma, succ_sum)]
+        den = total
     return num, den
 
 

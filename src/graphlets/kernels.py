@@ -70,16 +70,24 @@ def kernel_matrix(vectors, spec: KernelSpec) -> np.ndarray:
     return K
 
 
-def _top_k(K, labels: Sequence[str], k: int) -> np.ndarray:
-    """Row i: the k items most similar to item i, most similar first,
-    item i itself excluded; similarity ties keep input order."""
+def _square(matrix, labels: Sequence[str]) -> np.ndarray:
+    """matrix as a float array; ValueError unless it is square with one label per row."""
     import numpy as np
-    K = np.asarray(K, dtype=float)
+    K = np.asarray(matrix, dtype=float)
     n = K.shape[0]
     if K.shape != (n, n):
         raise ValueError("kernel matrix must be square")
     if len(labels) != n:
         raise ValueError("labels do not align with the kernel matrix")
+    return K
+
+
+def _top_k(K, labels: Sequence[str], k: int) -> np.ndarray:
+    """Row i: the k items most similar to item i, most similar first,
+    item i itself excluded; similarity ties keep input order."""
+    import numpy as np
+    K = _square(K, labels)
+    n = len(K)
     if not 1 <= k <= n - 1:
         raise ValueError(f"k must be in 1..{n - 1}, got {k}")
     order = np.argsort(-K, axis=1, kind="stable")
@@ -167,13 +175,8 @@ def write_precomputed_kernel(
     values printed to 17 significant digits. A class label must be one
     non-empty token without whitespace, as the format is space-separated.
     """
-    import numpy as np
-    K = np.asarray(matrix, dtype=float)
-    n = K.shape[0]
-    if K.shape != (n, n):
-        raise ValueError("kernel matrix must be square")
-    if len(labels) != n:
-        raise ValueError("labels do not align with the kernel matrix")
+    K = _square(matrix, labels)
+    n = len(K)
     bad = [lbl for lbl in labels if not _is_token(lbl)]  # empty or has whitespace
     if bad:
         raise ValueError(f"class labels must be non-empty and whitespace-free: {_echo(bad[0])}")

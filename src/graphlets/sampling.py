@@ -166,9 +166,8 @@ def _walk(
     eligible); otherwise a node is drawn uniformly from the eligible
     set. The next edge is drawn uniformly among that node's unvisited
     incident edges, in adjacency order. The walk stops early when the
-    eligible set empties. The bounded draws are ``_below``'s, written
-    out in the loop: the same stream as ``randrange``, without its
-    wrapper's cost.
+    eligible set empties. The bounded draws are ``_below``'s: the same
+    stream as ``randrange``.
     """
     if len(_STATES) > STATE_CAP:
         _STATES.clear()
@@ -195,19 +194,9 @@ def _walk(
         if unvisited[frontier] and draw() < alpha:
             u = frontier
         else:
-            n = len(eligible)
-            k = n.bit_length()
-            i = getrandbits(k)
-            while i >= n:
-                i = getrandbits(k)
-            u = eligible[i]
+            u = eligible[_below(getrandbits, len(eligible))]
         candidates = unvisited[u]
-        n = len(candidates)
-        k = n.bit_length()
-        i = getrandbits(k)
-        while i >= n:
-            i = getrandbits(k)
-        v = candidates.pop(i)
+        v = candidates.pop(_below(getrandbits, len(candidates)))
 
         lu = local[u]
         lv = local.get(v)

@@ -80,18 +80,23 @@ def test_measures_agree_with_oracles_on_random_graphlets():
 
 
 def test_brandes_betweenness_equals_references_on_all_classes_to_eight():
+    # core and clustering too, per node on every class
     for t in range(1, 9):
         for g in enumerate_connected(t):
             expected = betweenness_by_path_enumeration(g)
             assert betweenness_all_pairs(g) == expected
             assert measure_values(g, "betweenness") == expected, (t, g.edges)
+            assert measure_values(g, "core") == core_by_threshold(g), (t, g.edges)
+            assert measure_values(g, "clustering") == clustering_by_triple_scan(g), (t, g.edges)
 
 
 def test_brandes_betweenness_equals_all_pairs_on_larger_graphlets():
+    # core too
     rng = random.Random(23)
     for _ in range(200):
         g = random_graphlet(rng, max_edges=16)
         assert measure_values(g, "betweenness") == betweenness_all_pairs(g), g.edges
+        assert measure_values(g, "core") == core_by_threshold(g), g.edges
 
 
 def test_fractional_measures_stay_exact():

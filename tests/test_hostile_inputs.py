@@ -5,7 +5,8 @@ and rankings) are mutated: a record dropped or duplicated, a token swapped
 or oversized, non-UTF-8 bytes added, CRLF or U+2028 line ends, or the file
 emptied. Every run must exit 0, 1 or 2 without an uncaught exception and
 with a short message, a byte that is not UTF-8 must be named with its line,
-and a run that fails must write no output file.
+and a run that fails must write no output file. A long command-line value
+gets a short usage message too.
 """
 
 import random
@@ -184,3 +185,14 @@ def test_long_lists_of_ids_are_cut_short(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith(f"error: {words}") and err.endswith("... (1999 items)\n"), err
         assert len(err) < MAX_STDERR, err
+
+
+def test_long_command_line_values_are_cut_short(capsys):
+    long = "x" * 5000
+    for argv in (["sample-size", "--a", long], ["embed", "--M", long],
+                 ["embed", "--alpha", long], ["knn", "--k", long],
+                 ["audit", "--t", long], ["audit", "--hash", long]):
+        assert main(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith(f"graphlets {argv[0]}: argument {argv[1]}: invalid "), err[:100]
+        assert "Traceback" not in err and len(err) < MAX_STDERR, (argv[:2], err[:400])

@@ -241,10 +241,13 @@ def test_precomputed_kernel_file_format(tmp_path):
     k_01 = lines[0].split(" ")[3].split(":")[1]
     k_10 = lines[1].split(" ")[2].split(":")[1]
     assert k_01 == k_10
-    with pytest.raises(ValueError, match="labels do not align"):
-        write_precomputed_kernel(K, ["a", "b"], str(path))
-    with pytest.raises(ValueError, match="must be square"):
-        write_precomputed_kernel(K[:2], ["a", "b"], str(path))
+    # the export and the neighbour ranking share one matrix check
+    for use in (lambda K, labels: write_precomputed_kernel(K, labels, str(path)),
+                lambda K, labels: knn_retrieval_scores(K, labels, 1)):
+        with pytest.raises(ValueError, match="^labels do not align with the kernel matrix$"):
+            use(K, ["a", "b"])
+        with pytest.raises(ValueError, match="^kernel matrix must be square$"):
+            use(K[:2], ["a", "b"])
 
 
 def test_precomputed_kernel_rejects_empty_or_spaced_labels(tmp_path):
