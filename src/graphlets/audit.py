@@ -53,7 +53,7 @@ class _Profile(NamedTuple):
     """What the isomorphism search reads of one graphlet, built once."""
 
     adj: list[dict[int, str | None]]  # node -> {neighbour: edge label or None}
-    sig: list[tuple]  # per node: degree, label, neighbour-degree code
+    sig: list[tuple]  # per node: label, neighbour-degree code (which fixes the degree)
     by_sig: dict[tuple, list[int]]  # signature -> nodes carrying it, ascending
     order: list[int]  # placement order of the search
 
@@ -61,21 +61,20 @@ class _Profile(NamedTuple):
 def _profile(g: Graphlet) -> _Profile:
     """The search's profile of g.
 
-    A node's signature is (degree, label, code), the code being its
-    neighbour-degree code (see ``_codes``).
+    A node's signature is (label, code), the code being its neighbour-degree
+    code (see ``_codes``); up to 16 nodes its digit sum is the degree.
     """
     n, edges = g.n_nodes, g.edges
-    deg, code = _codes(n, edges)
-    sig = list(zip(deg, g.node_labels or ("",) * n, code))
     adj: list[dict[int, str | None]] = [{} for _ in range(n)]
     for (u, v), label in zip(edges, g.edge_labels or (None,) * len(edges)):
         adj[u][v] = adj[v][u] = label
+    sig = list(zip(g.node_labels or ("",) * n, _codes(adj)))
     by_sig: dict[tuple, list[int]] = {}
     for u, s in enumerate(sig):
         by_sig.setdefault(s, []).append(u)
     # Breadth-first from the lowest maximum-degree node, so each node of
     # its component (after the first) touches a node placed before it.
-    order = [deg.index(max(deg))] if n else []
+    order = [max(range(n), key=lambda u: len(adj[u]))] if n else []
     placed = [u in order for u in range(n)]
     for u in order:
         for w in adj[u]:
@@ -142,20 +141,19 @@ def _children(g: Graphlet) -> Iterator[tuple[int, int, list[int]]]:
     (u, v): each non-edge (u, v) in index order, then each new leaf
     (u, n). codes are the child's neighbour-degree codes (``_codes``).
 
-    They are derived from g's: adding (u, v) raises the degrees of u
-    and v by one, so u gains a neighbour of degree deg(v) + 1 and v one
-    of degree deg(u) + 1, and each neighbour of u sees digit deg(u) + 1
-    in place of digit deg(u) (likewise for v). No other code changes.
+    They are derived from g's: adding (u, v) raises the degrees of u and v
+    (the lengths of their neighbour lists) by one, so u gains a neighbour of
+    degree deg(v) + 1 and v one of degree deg(u) + 1, and each neighbour of u
+    sees digit deg(u) + 1 in place of digit deg(u). No other code changes.
     """
     n, edges = g.n_nodes, g.edges
-    deg, code = _codes(n, edges)
     nbrs = adjacency_lists(n, edges) + ((),)  # the new leaf n has no neighbour yet
+    code = _codes(nbrs[:n])
     present = set(edges)
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in present]
     pairs += [(u, n) for u in range(n)]
-    deg.append(0)  # the new leaf's
     for u, v in pairs:
-        du, dv = deg[u], deg[v]
+        du, dv = len(nbrs[u]), len(nbrs[v])
         c = code + [0] if v == n else code[:]
         c[u] += 1 << 4 * (dv + 1)
         c[v] += 1 << 4 * (du + 1)

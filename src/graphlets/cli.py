@@ -149,17 +149,17 @@ def _batches(args) -> list[tuple[SamplerParams, int, int]]:
         raise UsageError("embed: --per-size-m requires --epsilon/--delta")
     if args.per_size_m and args.a_override is not None:
         raise UsageError("embed: --a-override is incompatible with --per-size-m")
-    sizes = ([(t, t) for t in range(args.t_min, args.T + 1)] if args.per_size_m
-             else [(args.T, args.t_min)])  # (max_edges, min_edges) of each batch
-    budgets = [args.M if explicit else _sample_size(args, _support(args, t))
-               for t, _ in sizes]
+    # each batch's max_edges; a range, so that a huge --T stops at the
+    # first size without a class count and builds nothing before it
+    sizes = range(args.t_min, args.T + 1) if args.per_size_m else [args.T]
+    budgets = [args.M if explicit else _sample_size(args, _support(args, t)) for t in sizes]
     # every budget is bounded first: this data error precedes a bad --alpha
     if max(budgets) > MAX_RUNS:
         raise ValueError(f"embed: the walk budget exceeds {MAX_RUNS} walks per graph")
     try:
-        return [(SamplerParams(runs, max_edges, args.alpha, args.seed), min_edges, offset)
-                for runs, (max_edges, min_edges), offset
-                in zip(budgets, sizes, accumulate(budgets, initial=0))]
+        return [(SamplerParams(runs, t, args.alpha, args.seed),
+                 t if args.per_size_m else args.t_min, offset)  # its min_edges
+                for runs, t, offset in zip(budgets, sizes, accumulate(budgets, initial=0))]
     except ValueError as exc:
         raise UsageError(f"embed: {exc}") from None
 

@@ -1,7 +1,9 @@
 """Permutation-invariant hash codes for graphlets, and every per-node
 invariant of a graphlet: the four measures, the neighbour-degree codes
-(``_codes``) and the relabelled edge key (``_relabelled_key``). Each
-code is built from one per-node topological measure (degree, core
+(``_codes``) and the relabelled edge key (``_relabelled_key``). The
+measures and the codes read neighbour lists (``adjacency_lists``), a
+degree being a list's length, and ``_numerators`` builds them once per
+call. Each code is built from one per-node topological measure (degree, core
 number, local clustering coefficient, or betweenness centrality), sorted
 into a canonical ascending vector. Every measure has one exact form,
 ``_numerators``: integer numerators in node order over one common
@@ -45,23 +47,17 @@ def resolve_hash_function(fn: str, n_edges: int) -> str:
     return fn
 
 
-def _codes(n: int, edges) -> tuple[list[int], list[int]]:
-    """Per-node degrees and neighbour-degree codes of a graphlet.
+def _codes(adj) -> list[int]:
+    """Per-node neighbour-degree codes of a graphlet, from its per-node
+    neighbour collections (``adjacency_lists`` or the oracle's dicts).
 
-    A node's code is the sum of ``16 ** degree(w)`` over its neighbours
+    A node's code is the sum of ``16 ** len(adj[w])`` over its neighbours
     w: a base-16 numeral whose digit d counts the neighbours of degree
     d. Up to 16 nodes, degrees and digits are at most 15, so the code
     names the multiset of neighbour degrees exactly.
     """
-    deg = [0] * n
-    for u, v in edges:
-        deg[u] += 1
-        deg[v] += 1
-    code = [0] * n
-    for u, v in edges:
-        code[u] += 1 << 4 * deg[v]
-        code[v] += 1 << 4 * deg[u]
-    return deg, code
+    digit = [1 << 4 * len(ns) for ns in adj].__getitem__  # node -> 16 ** its degree
+    return [sum(map(digit, ns)) for ns in adj]
 
 
 # _EDGE_BITS[16 * a + b]: the key bits of edge (a, b) between renumbered nodes
@@ -101,18 +97,17 @@ def _finer_codes(code: list[int], edges) -> list[int]:
     return [c << 52 | s for c, s in zip(code, near)]
 
 
-def core_values(g: Graphlet) -> list[int]:
-    """Per-node core numbers, in node order.
+def core_values(adj) -> list[int]:
+    """Per-node core numbers, in node order, from ``adjacency_lists``.
 
     Computed by peeling by level: at level k, from 0 up, every node left
     whose remaining degree is at most k is removed, and its neighbours'
     degrees fall by one; k rises only when no such node is left. The
     nodes removed at level k have core number k.
     """
-    adj = adjacency_lists(g.n_nodes, g.edges)
     deg = [len(ns) for ns in adj]
-    core = [0] * g.n_nodes
-    left = set(range(g.n_nodes))
+    core = [0] * len(adj)
+    left = set(range(len(adj)))
     k = 0
     while left:
         low = [u for u in left if deg[u] <= k]
@@ -126,8 +121,8 @@ def core_values(g: Graphlet) -> list[int]:
     return core
 
 
-def _betweenness_numerators(g: Graphlet) -> tuple[list[int], int]:
-    """Per-node betweenness as (numerators, one common denominator).
+def _betweenness_numerators(adj) -> tuple[list[int], int]:
+    """Per-node betweenness of ``adj`` as (numerators, one common denominator).
 
     Sum over ordered node pairs (s, t), s != t, excluding the node
     itself, of sigma_st(v) / sigma_st, where sigma counts shortest
@@ -138,8 +133,7 @@ def _betweenness_numerators(g: Graphlet) -> tuple[list[int], int]:
     source's numerators are added into one running sum, the sum and the
     source both rescaled to the lcm of the sum's denominator and L.
     """
-    n = g.n_nodes
-    adj = adjacency_lists(n, g.edges)
+    n = len(adj)
     num, den = [0] * n, 1
     for s in range(n):
         dist = [-1] * n
@@ -180,13 +174,14 @@ def _numerators(fn: str, g: Graphlet) -> tuple[list[int], int]:
     of the triple counts. Betweenness is ``_betweenness_numerators``.
     Over one denominator the numerators sort and tie as the values do.
     """
+    adj = adjacency_lists(g.n_nodes, g.edges)
     if fn == "degree":
-        return _codes(g.n_nodes, g.edges)[0], 1
+        return [len(ns) for ns in adj], 1
     if fn == "core":
-        return core_values(g), 1
+        return core_values(adj), 1
     if fn == "betweenness":
-        return _betweenness_numerators(g)
-    adj = [set(ns) for ns in adjacency_lists(g.n_nodes, g.edges)]
+        return _betweenness_numerators(adj)
+    adj = [set(ns) for ns in adj]
     triangles = [0] * g.n_nodes
     for u, v in g.edges:
         for w in adj[u] & adj[v]:

@@ -74,10 +74,9 @@ def _square(matrix, labels: Sequence[str]) -> np.ndarray:
     """matrix as a float array; ValueError unless it is square with one label per row."""
     import numpy as np
     K = np.asarray(matrix, dtype=float)
-    n = K.shape[0]
-    if K.shape != (n, n):
+    if K.ndim != 2 or K.shape[0] != K.shape[1]:  # a 0-d matrix has no shape[0]
         raise ValueError("kernel matrix must be square")
-    if len(labels) != n:
+    if len(labels) != len(K):
         raise ValueError("labels do not align with the kernel matrix")
     return K
 

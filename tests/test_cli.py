@@ -379,6 +379,28 @@ def test_embed_per_size_budgets(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_per_size_budgets_stop_at_the_first_size_without_a_class_count(tmp_path):
+    # sizes past 10 have no class count, so a huge --T must fail there
+    # without first building one batch size per t; the child's address
+    # space is capped, so a run that did would fail, not fill the machine
+    resource = pytest.importorskip("resource")
+    graphs = _write(tmp_path, "g.txt", TRIANGLE_TXT)
+    manifest = _write(tmp_path, "m.tsv", "tri\tc\tunsplit\n")
+    out = tmp_path / "out"
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "graphlets.cli", "embed", "--graphs", graphs, "--manifest",
+         manifest, "--T", str(10**12), "--epsilon", "0.5", "--delta", "0.5", "--per-size-m",
+         "--out", str(out)],
+        capture_output=True, text=True, env=_src_env(), preexec_fn=cap, timeout=120)
+    assert (proc.returncode, proc.stderr) == (
+        1, "embed: no built-in class count for t=11; supply --a-override\n")
+    assert not out.exists()
+
+
 def test_embed_labeled_flag(tmp_path, capsys):
     labeled = "t g0\nv 0 C\nv 1 N\ne 0 1 1\n"
     graphs = _write(tmp_path, "g.txt", labeled)

@@ -6,7 +6,8 @@ or oversized, non-UTF-8 bytes added, CRLF or U+2028 line ends, or the file
 emptied. Every run must exit 0, 1 or 2 without an uncaught exception and
 with a short message, a byte that is not UTF-8 must be named with its line,
 and a run that fails must write no output file. A long command-line value
-gets a short usage message too.
+gets a short usage message too, and so does every value of a fixed hostile
+list given to each value option of each command.
 """
 
 import random
@@ -20,6 +21,8 @@ from synth import random_connected_graph
 MUTANTS_PER_FILE = 30
 BIG_TOKENS = (b"9" * 5000, b"x" * 5000, b"-" + b"9" * 400, b"1e999")
 MAX_STDERR = 300  # characters: an error message echoes a long token or id list cut short
+HOSTILE_VALUES = ("0", "-1", "nan", "inf", "1e999", "1e-300", str(10**12), str(2**64), "", "x",
+                  "1.5")
 
 
 def _drop(lines, rng):
@@ -84,6 +87,22 @@ def _mutants(data: bytes, rng):
         yield mutate.__name__, b"\n".join(lines)
 
 
+def _check_run(argv, out, case, capsys) -> tuple[int, str]:
+    """Run argv with --out out: exit 0, 1 or 2 with a short message and no
+    traceback, and no output file after a failure. Returns (exit code, stderr)."""
+    try:
+        rc = main(argv + ["--out", str(out)])
+    except Exception as exc:  # main lets only unexpected errors through
+        raise AssertionError(f"uncaught exception on {case}") from exc
+    err = capsys.readouterr().err
+    assert rc in (0, 1, 2), case
+    assert "Traceback" not in err, case
+    assert len(err) < MAX_STDERR, (case, err[:400])
+    if rc:
+        assert not out.exists() or not any(out.iterdir()), case
+    return rc, err
+
+
 def test_mutated_inputs_exit_cleanly_and_leave_no_output(tmp_path, capsys):
     rng = random.Random(1)
     graphs = [random_connected_graph(f"g{i}", rng.randint(4, 7), rng.randint(0, 3), rng,
@@ -123,22 +142,59 @@ def test_mutated_inputs_exit_cleanly_and_leave_no_output(tmp_path, capsys):
             bad = tmp_path / f"{name}.{n}.bad"
             bad.write_bytes(mutant)
             for argv in commands(name, str(bad)):
-                out = tmp_path / f"out{runs}"
                 case = (name, mutation, mutant[:200], argv[0])
-                try:
-                    rc = main(argv + ["--out", str(out)])
-                except Exception as exc:  # main lets only unexpected errors through
-                    raise AssertionError(f"uncaught exception on {case}") from exc
-                err = capsys.readouterr().err
-                assert rc in (0, 1, 2), case
-                assert "Traceback" not in err, case
-                assert len(err) < MAX_STDERR, (case, err[:400])
+                rc, err = _check_run(argv, tmp_path / f"out{runs}", case, capsys)
                 if mutation == "_non_utf8":  # every command reads the mutant whole first
                     assert rc == 2 and re.search(r"^error: line \d+: byte 0x", err), (case, err)
-                if rc:
-                    assert not out.exists() or not any(out.iterdir()), case
                 runs += 1
     assert runs == 2 * len(valid) * MUTANTS_PER_FILE
+
+
+def test_hostile_option_values_exit_cleanly_and_leave_no_output(tmp_path, capsys):
+    # --threads is left out: were its cap ever lost, a large value would
+    # start that many workers (test_cli checks the cap)
+    rng = random.Random(2)
+    graphs = [random_connected_graph(f"g{i}", rng.randint(4, 6), rng.randint(0, 2), rng,
+                                     labeled=i < 2) for i in range(4)]
+    mixed, plain, manifest, ranks = (str(tmp_path / name)
+                                     for name in ("mixed.txt", "g.txt", "m.tsv", "r.tsv"))
+    save_graphs(graphs, mixed)  # two labelled graphs, then two unlabelled ones
+    save_graphs([g._replace(node_labels=None, edge_labels=None) for g in graphs], plain)
+    save_manifest([ManifestEntry(g.id, "ab"[i % 2], ("train", "test")[i == 3])
+                   for i, g in enumerate(graphs)], manifest)
+    with open(ranks, "w") as fh:
+        fh.writelines(f"{g.id}\ta,b\n" for g in graphs)
+    embed = ["embed", "--graphs", plain, "--manifest", manifest]
+    assert main(embed + ["--T", "3", "--M", "3", "--out", str(tmp_path / "emb")]) == 0
+    scored = ["--embeddings", str(tmp_path / "emb" / "embeddings.tsv"), "--manifest", manifest]
+    capsys.readouterr()
+
+    runs = 0
+    mixed_embed = ["embed", "--graphs", mixed, "--manifest", manifest, "--T", "3", "--M", "3"]
+    for argv, rc in ((mixed_embed, 0), (mixed_embed + ["--labeled"], 2)):  # g2 has no labels
+        assert _check_run(argv, tmp_path / f"out{runs}", argv, capsys)[0] == rc, argv
+        runs += 1
+    # each command with valid values for its value options; each option in
+    # turn then takes every hostile value while the others keep theirs
+    for head, valid in (
+            (["sample-size"], {"--a": "5", "--epsilon": "0.5", "--delta": "0.5", "--seed": "0"}),
+            (embed, {"--T": "3", "--t-min": "1", "--M": "3", "--alpha": "0.5",
+                     "--hash": "auto", "--vocab-scope": "train", "--seed": "0"}),
+            (embed, {"--T": "3", "--epsilon": "0.5", "--delta": "0.5", "--a-override": "5"}),
+            (["kernel"] + scored, {"--kind": "rbf", "--gamma": "1", "--seed": "0"}),
+            (["knn"] + scored, {"--k": "1", "--kind": "rbf", "--gamma": "1", "--seed": "0"}),
+            (["audit"], {"--hash": "degree", "--t": "3", "--seed": "0"}),
+            (["rho", "--system-ranks", ranks, "--truth-ranks", ranks], {"--seed": "0"})):
+        argv = head + [a for item in valid.items() for a in item]
+        assert _check_run(argv, tmp_path / f"out{runs}", argv, capsys)[0] == 0, argv
+        runs += 1
+        for option in valid:
+            for value in HOSTILE_VALUES:
+                argv = head + [a for name, v in valid.items()
+                               for a in (name, value if name == option else v)]
+                _check_run(argv, tmp_path / f"out{runs}", (option, value, argv[0]), capsys)
+                runs += 1
+    assert runs == 2 + 7 + 26 * len(HOSTILE_VALUES)
 
 
 def test_a_byte_that_is_not_utf8_names_its_line(tmp_path, capsys):

@@ -246,8 +246,9 @@ def test_precomputed_kernel_file_format(tmp_path):
                 lambda K, labels: knn_retrieval_scores(K, labels, 1)):
         with pytest.raises(ValueError, match="^labels do not align with the kernel matrix$"):
             use(K, ["a", "b"])
-        with pytest.raises(ValueError, match="^kernel matrix must be square$"):
-            use(K[:2], ["a", "b"])
+        for matrix, labels in ((K[:2], ["a", "b"]), (1.0, [])):  # 1.0: a 0-d matrix
+            with pytest.raises(ValueError, match="^kernel matrix must be square$"):
+                use(matrix, labels)
 
 
 def test_precomputed_kernel_rejects_empty_or_spaced_labels(tmp_path):
