@@ -1,11 +1,11 @@
 """Command-line interface.
 
 Subcommands wire graph transaction files through sampling, embedding,
-kernel export, k-NN evaluation, collision auditing, and rank-agreement
-scoring. All randomness flows from --seed through documented per-run
-stream derivation, and --threads never changes output bytes, only wall
-time. Exit codes: 0 success, 1 usage error, 2 data error, 141 stdout
-closed before all output was written.
+kernel export, k-NN evaluation, collision auditing and rank-agreement
+scoring, each with only the options it reads, spelled in full. All
+randomness flows from embed's --seed through per-run stream derivation,
+and its --threads never changes output bytes. Exit codes: 0 success,
+1 usage error, 2 data error, 141 stdout closed before all output was written.
 
 A start imports only ``graphs`` and ``hashing`` of this package; each
 command imports the modules it runs, so ``--version`` and ``audit``
@@ -65,6 +65,9 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):  # only full option names parse, in every subcommand
+        super().__init__(allow_abbrev=False, **kwargs)
+
     def error(self, message):  # exit code 1 instead of argparse's 2
         if len(message) > 200:  # argparse quotes a command-line value whole
             message = f"{message[:200]}... ({len(message)} characters)"
@@ -110,13 +113,13 @@ def _embed_worker(job):
     return graph.id, counts, dead
 
 
-def _sample_size(args, support: int) -> int:
-    from .sampling import check_accuracy
+def _sample_size(args, support: int) -> float:
     try:  # a target out of range is a usage error, found before any input is read
-        check_accuracy(args.epsilon, args.delta)
+        return sample_size(support, args.epsilon, args.delta)
+    except OverflowError:  # no finite number of walks meets it
+        return float("inf")
     except ValueError as exc:
         raise UsageError(f"{args.command}: {exc}") from None
-    return sample_size(support, args.epsilon, args.delta)
 
 
 def _support(args, t: int) -> int:
@@ -138,9 +141,7 @@ def _batches(args) -> list[tuple[SamplerParams, int, int]]:
     explicit = args.M is not None
     derived = args.epsilon is not None or args.delta is not None
     if explicit == derived:
-        raise UsageError(
-            "embed: supply exactly one of --M or (--epsilon and --delta)"
-        )
+        raise UsageError("embed: supply exactly one of --M or (--epsilon and --delta)")
     if derived and (args.epsilon is None or args.delta is None):
         raise UsageError("embed: --epsilon and --delta must be given together")
     if explicit and args.a_override is not None:
@@ -153,9 +154,9 @@ def _batches(args) -> list[tuple[SamplerParams, int, int]]:
     # first size without a class count and builds nothing before it
     sizes = range(args.t_min, args.T + 1) if args.per_size_m else [args.T]
     budgets = [args.M if explicit else _sample_size(args, _support(args, t)) for t in sizes]
-    # every budget is bounded first: this data error precedes a bad --alpha
+    # every budget, inf too, is bounded first: this usage error precedes a bad --alpha
     if max(budgets) > MAX_RUNS:
-        raise ValueError(f"embed: the walk budget exceeds {MAX_RUNS} walks per graph")
+        raise UsageError(f"embed: the walk budget exceeds {MAX_RUNS} walks per graph")
     try:
         return [(SamplerParams(runs, t, args.alpha, args.seed),
                  t if args.per_size_m else args.t_min, offset)  # its min_edges
@@ -172,7 +173,10 @@ def _out(args, name: str) -> str:
 
 def cmd_sample_size(args) -> int:
     _bind("sampling")
-    print(_sample_size(args, args.a))
+    runs = _sample_size(args, args.a)
+    if runs == float("inf"):
+        raise UsageError("sample-size: the walk budget is not a finite number")
+    print(runs)
     return 0
 
 
@@ -322,14 +326,10 @@ def build_parser() -> argparse.ArgumentParser:
                      description="Graphlet sampling, hashing, and embedding toolkit")
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="master random seed")
-    common.add_argument("--threads", type=_positive_int, default=1,
-                        help="worker bound (>= 1, capped by CPUs and graphs); "
-                             "never affects output bytes")
-    common.add_argument("--out", default=".", help="output directory")
+    writes = argparse.ArgumentParser(add_help=False)  # the commands that write files
+    writes.add_argument("--out", default=".", help="output directory")
 
-    p = subs.add_parser("sample-size", parents=[common],
+    p = subs.add_parser("sample-size",
                         help="walk budget from an accuracy target")
     p.add_argument("--a", type=_positive_int, required=True,
                    help="class count of the target size")
@@ -337,8 +337,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, required=True)
     p.set_defaults(func=cmd_sample_size)
 
-    p = subs.add_parser("embed", parents=[common],
+    p = subs.add_parser("embed", parents=[writes],
                         help="sample graphs and write histogram embeddings")
+    p.add_argument("--seed", type=int, default=0, help="master random seed")
+    p.add_argument("--threads", type=_positive_int, default=1,
+                   help="worker bound (>= 1, capped by CPUs and graphs); "
+                        "never affects output bytes")
     p.add_argument("--graphs", required=True, help="graph transaction file")
     p.add_argument("--manifest", required=True, help="graph_id/class/split TSV")
     p.add_argument("--T", type=int, required=True, dest="T",
@@ -365,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="build bins from train split only (default) or all graphs")
     p.set_defaults(func=cmd_embed)
 
-    p = subs.add_parser("kernel", parents=[common],
+    p = subs.add_parser("kernel", parents=[writes],
                         help="export a precomputed kernel matrix")
     p.add_argument("--embeddings", required=True)
     p.add_argument("--manifest", default=None,
@@ -374,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", type=float, default=None)
     p.set_defaults(func=cmd_kernel)
 
-    p = subs.add_parser("knn", parents=[common],
+    p = subs.add_parser("knn", parents=[writes],
                         help="k-NN retrieval scores over a dataset")
     p.add_argument("--embeddings", required=True)
     p.add_argument("--manifest", required=True)
@@ -383,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", type=float, default=None)
     p.set_defaults(func=cmd_knn)
 
-    p = subs.add_parser("audit", parents=[common],
+    p = subs.add_parser("audit", parents=[writes],
                         help="collision report for one hash function and size")
     p.add_argument("--hash", required=True, choices=("auto",) + HASH_FUNCTIONS)
     p.add_argument("--t", type=int, required=True)
@@ -391,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="omit colliding-pair graph blocks from the report")
     p.set_defaults(func=cmd_audit)
 
-    p = subs.add_parser("rho", parents=[common],
+    p = subs.add_parser("rho", parents=[writes],
                         help="mutual rank-agreement score between rankings")
     p.add_argument("--system-ranks", required=True)
     p.add_argument("--truth-ranks", required=True)

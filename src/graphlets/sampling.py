@@ -48,29 +48,25 @@ def connected_graph_count(n_edges: int) -> int:
     return CONNECTED_GRAPH_COUNTS[n_edges - 1]
 
 
-def check_accuracy(epsilon: float, delta: float) -> None:
-    """Reject an accuracy target outside epsilon in (0, 1], delta in (0, 1)."""
-    if not 0.0 < epsilon <= 1.0:
-        raise ValueError(f"epsilon must be in (0, 1], got {epsilon}")
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must be in (0, 1), got {delta}")
-
-
 def sample_size(support_size: int, epsilon: float, delta: float) -> int:
     """Runs needed so the empirical class distribution is within epsilon
     (L1) of the true one with probability at least 1 - delta.
 
-    Computes ceil(2 * (support_size * ln 2 + ln(1/delta)) / epsilon^2),
-    and raises ValueError when that is not a finite number.
+    Computes ceil(2 * (support_size * ln 2 + ln(1/delta)) / epsilon^2);
+    raises ValueError for an argument out of range and OverflowError when
+    the result is not a finite number.
     """
     if support_size < 1:
         raise ValueError(f"support_size must be >= 1, got {support_size}")
-    check_accuracy(epsilon, delta)
+    if not 0.0 < epsilon <= 1.0:
+        raise ValueError(f"epsilon must be in (0, 1], got {epsilon}")
+    if not 0.0 < delta < 1.0:
+        raise ValueError(f"delta must be in (0, 1), got {delta}")
     try:
         bound = 2.0 * (support_size * math.log(2.0) + math.log(1.0 / delta))
         return math.ceil(bound / (epsilon * epsilon))
     except ArithmeticError:  # overflow, or epsilon^2 underflowing to 0
-        raise ValueError("the walk budget is not a finite number") from None
+        raise OverflowError("the walk budget is not a finite number") from None
 
 
 class SamplerParams(_Checked, namedtuple("SamplerParams", "runs max_edges alpha seed",

@@ -311,10 +311,8 @@ def test_criterion_06_thread_count_never_changes_bytes(tmp_path):
                      "--T", "4", "--M", "20", "--seed", "11",
                      "--threads", threads, "--out", str(out)]) == 0
         assert main(["kernel", "--embeddings", str(out / "embeddings.tsv"),
-                     "--manifest", mpath, "--kind", "hist-int",
-                     "--threads", threads, "--out", str(out)]) == 0
-        assert main(["audit", "--hash", "degree", "--t", "5",
-                     "--threads", threads, "--out", str(out)]) == 0
+                     "--manifest", mpath, "--kind", "hist-int", "--out", str(out)]) == 0
+        assert main(["audit", "--hash", "degree", "--t", "5", "--out", str(out)]) == 0
         blobs[threads] = tuple(
             (out / name).read_bytes()
             for name in ("vocabulary.txt", "embeddings.tsv", "kernel.txt",

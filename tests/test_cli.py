@@ -1,8 +1,10 @@
+import argparse
 import errno
 import hashlib
 import json
 import os
 import random
+import shutil
 import subprocess
 import sys
 
@@ -105,6 +107,69 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     assert not out.exists()
 
 
+OPTIONS = {  # each command's options, besides -h and --help
+    "sample-size": {"--a", "--epsilon", "--delta"},
+    "embed": {"--graphs", "--manifest", "--T", "--t-min", "--M", "--epsilon", "--delta",
+              "--a-override", "--per-size-m", "--alpha", "--hash", "--labeled",
+              "--normalize", "--vocab-scope", "--seed", "--threads", "--out"},
+    "kernel": {"--embeddings", "--manifest", "--kind", "--gamma", "--out"},
+    "knn": {"--embeddings", "--manifest", "--kind", "--gamma", "--k", "--out"},
+    "audit": {"--hash", "--t", "--no-pairs", "--out"},
+    "rho": {"--system-ranks", "--truth-ranks", "--out"},
+}
+
+
+def test_each_command_takes_only_its_options_spelled_in_full(tmp_path, capsys):
+    subs = next(a for a in cli.build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction))
+    assert {command: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+            for command, p in subs.choices.items()} == OPTIONS
+    graphs = _write(tmp_path, "g.txt", "t g0\nv 0 a\nv 1 b\ne 0 1 x\n"
+                                       "t g1\nv 0 a\nv 1 a\nv 2 b\ne 0 1 x\ne 1 2 y\n")
+    manifest = _write(tmp_path, "m.tsv", "g0\tc\ttrain\ng1\td\ttrain\n")
+    embeddings = _write(tmp_path, "e.tsv", "graph_id\tbin0\tbin1\ng0\t1\t2\ng1\t3\t1\n")
+    ranks = _write(tmp_path, "r.tsv", "g0\ta,b\ng1\tb,a\n")
+    embed = ["embed", "--graphs", graphs, "--manifest", manifest, "--T", "2"]
+    scored = ["--embeddings", embeddings, "--manifest", manifest, "--kind", "rbf",
+              "--gamma", "1"]
+    valid = [  # between them, every option of every command
+        ["sample-size", "--a", "3", "--epsilon", "0.5", "--delta", "0.5"],
+        embed + ["--t-min", "1", "--M", "2", "--alpha", "0.5", "--hash", "degree",
+                 "--normalize", "--vocab-scope", "all", "--seed", "1", "--threads", "1"],
+        embed + ["--epsilon", "0.5", "--delta", "0.5", "--a-override", "2"],
+        embed + ["--epsilon", "0.5", "--delta", "0.5", "--per-size-m", "--labeled"],
+        ["kernel"] + scored,
+        ["knn", "--k", "1"] + scored,
+        ["audit", "--hash", "degree", "--t", "2", "--no-pairs"],
+        ["rho", "--system-ranks", ranks, "--truth-ranks", ranks],
+    ]
+    out = tmp_path / "out"
+    valid = [argv + ["--out", str(out)] if "--out" in OPTIONS[argv[0]] else argv
+             for argv in valid]
+    for command, options in OPTIONS.items():
+        assert options <= set().union(*(argv for argv in valid if argv[0] == command))
+    for argv in valid:
+        assert main(argv) == 0, argv
+        capsys.readouterr()
+        shutil.rmtree(out, ignore_errors=True)
+        # a command that does not read --seed, --threads or --out refuses it
+        for option in {"--seed", "--threads", "--out"} - OPTIONS[argv[0]]:
+            assert main(argv + [option, "1"]) == 1, (argv[0], option)
+            assert f"unrecognized arguments: {option} 1" in capsys.readouterr().err
+            assert not out.exists()
+        # an option cut short is no option, although it names one option only
+        # (a one-letter option has no prefix but "--")
+        for option in [o for o in OPTIONS[argv[0]].intersection(argv) if len(o) > 3]:
+            assert main([a[:-1] if a == option else a for a in argv]) == 1, (argv[0], option)
+            capsys.readouterr()
+            assert not out.exists()
+    for argv in (["audit", "--hash", "degree", "--t", "2", "--no"],
+                 embed + ["--M", "2", "--thr", "2"]):
+        assert main(argv + ["--out", str(out)]) == 1, argv
+        capsys.readouterr()
+        assert not out.exists()
+
+
 def test_worker_count_is_capped_by_jobs_and_cpus(monkeypatch):
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
     assert worker_count(1, 100) == 1
@@ -140,18 +205,7 @@ def test_data_errors_exit_two(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: line 1: graph id '#x' must be one token that does not start with '#'\n")
     assert not out.exists()
-    # walk budgets that are not finite numbers
-    for a, epsilon, delta in (("79", "1e-200", "0.1"),  # epsilon^2 underflows to 0
-                              ("79", "0.1", "1e-320"),  # 1/delta overflows
-                              (str(10**400), "0.1", "0.1")):  # a overflows a float
-        assert main(["sample-size", "--a", a, "--epsilon", epsilon,
-                     "--delta", delta]) == 2
-        assert capsys.readouterr().err == "error: the walk budget is not a finite number\n"
     graphs = _write(tmp_path, "g.txt", TRIANGLE_TXT)
-    assert main(["embed", "--graphs", graphs, "--manifest", manifest, "--T", "3",
-                 "--epsilon", "1e-200", "--delta", "0.1", "--out", str(out)]) == 2
-    assert capsys.readouterr().err == "error: the walk budget is not a finite number\n"
-    assert not out.exists()
     emb = _write(tmp_path, "e.tsv", "graph_id\tbin0\ntri\t1\n")
     assert main(["knn", "--embeddings", emb, "--manifest", manifest, "--k", "1",
                  "--out", str(out)]) == 2
@@ -164,7 +218,7 @@ def test_data_errors_exit_two(tmp_path, capsys):
         assert not out.exists()
 
 
-def test_walk_budget_above_the_bound_exits_two(tmp_path, capsys):
+def test_walk_budget_no_run_can_meet_is_a_usage_error(tmp_path, capsys):
     graphs = _write(tmp_path, "g.txt", TRIANGLE_TXT)
     manifest = _write(tmp_path, "m.tsv", "tri\tc\tunsplit\n")
     out = tmp_path / "out"
@@ -188,11 +242,25 @@ def test_walk_budget_above_the_bound_exits_two(tmp_path, capsys):
                    ["--M", str(10**8 + 1), "--alpha", "2"],
                    ["--T", "10", "--epsilon", "0.001", "--delta", "0.1", "--per-size-m",
                     "--alpha", "2"]):
-        with pytest.raises(ValueError, match="exceeds 100000000 walks per graph"):
+        with pytest.raises(cli.UsageError, match="exceeds 100000000 walks per graph"):
             cli._batches(cli.build_parser().parse_args(base + budget))
-        assert main(base + budget) == 2
+        assert main(base + budget) == 1
         assert capsys.readouterr().err == (
-            "error: embed: the walk budget exceeds 100000000 walks per graph\n")
+            "embed: the walk budget exceeds 100000000 walks per graph\n")
+    # budgets that are not finite numbers: embed names its bound, and
+    # sample-size, which has none, says so
+    for a, epsilon, delta in (("79", "1e-200", "0.1"),  # epsilon^2 underflows to 0
+                              ("79", "0.1", "1e-320"),  # 1/delta overflows
+                              (str(10**400), "0.1", "0.1")):  # a overflows a float
+        assert main(["sample-size", "--a", a, "--epsilon", epsilon,
+                     "--delta", delta]) == 1
+        assert capsys.readouterr().err == (
+            "sample-size: the walk budget is not a finite number\n")
+        budget = (["--epsilon", epsilon, "--delta", delta]
+                  + (["--a-override", a] if a != "79" else []))
+        assert main(base + budget) == 1
+        assert capsys.readouterr().err == (
+            "embed: the walk budget exceeds 100000000 walks per graph\n")
     assert not out.exists()
 
 
@@ -747,18 +815,7 @@ def test_audit_betweenness_t7_single_collision(tmp_path, capsys):
     assert main(["audit", "--hash", "betweenness", "--t", "7", "--out", out]) == 0
     stdout = capsys.readouterr().out
     assert "betweenness\t7\t79\t3081\t1\t1/3081\t0.00032" in stdout
-
-
-def test_audit_byte_identical_across_threads(tmp_path, capsys):
-    blobs = []
-    for threads in ("1", "8"):
-        out = tmp_path / f"a{threads}"
-        assert main(["audit", "--hash", "degree", "--t", "5",
-                     "--threads", threads, "--out", str(out)]) == 0
-        blobs.append((out / "audit-degree-t5.tsv").read_bytes())
-        assert os.listdir(out) == ["audit-degree-t5.tsv"]
-    assert blobs[0] == blobs[1]
-    capsys.readouterr()
+    assert os.listdir(out) == ["audit-betweenness-t7.tsv"]  # the report and nothing else
 
 
 def test_rho_command(tmp_path, capsys):

@@ -88,10 +88,11 @@ def _mutants(data: bytes, rng):
 
 
 def _check_run(argv, out, case, capsys) -> tuple[int, str]:
-    """Run argv with --out out: exit 0, 1 or 2 with a short message and no
-    traceback, and no output file after a failure. Returns (exit code, stderr)."""
+    """Run argv with --out out (sample-size writes no file and takes none):
+    exit 0, 1 or 2 with a short message and no traceback, and no output
+    file after a failure. Returns (exit code, stderr)."""
     try:
-        rc = main(argv + ["--out", str(out)])
+        rc = main(argv if argv[0] == "sample-size" else argv + ["--out", str(out)])
     except Exception as exc:  # main lets only unexpected errors through
         raise AssertionError(f"uncaught exception on {case}") from exc
     err = capsys.readouterr().err
@@ -151,8 +152,9 @@ def test_mutated_inputs_exit_cleanly_and_leave_no_output(tmp_path, capsys):
 
 
 def test_hostile_option_values_exit_cleanly_and_leave_no_output(tmp_path, capsys):
-    # --threads is left out: were its cap ever lost, a large value would
-    # start that many workers (test_cli checks the cap)
+    # embed's --threads is left out: were its cap ever lost, a large value
+    # would start that many workers (test_cli checks the cap); only embed
+    # takes --seed and --threads, and test_cli checks that no other command does
     rng = random.Random(2)
     graphs = [random_connected_graph(f"g{i}", rng.randint(4, 6), rng.randint(0, 2), rng,
                                      labeled=i < 2) for i in range(4)]
@@ -177,14 +179,14 @@ def test_hostile_option_values_exit_cleanly_and_leave_no_output(tmp_path, capsys
     # each command with valid values for its value options; each option in
     # turn then takes every hostile value while the others keep theirs
     for head, valid in (
-            (["sample-size"], {"--a": "5", "--epsilon": "0.5", "--delta": "0.5", "--seed": "0"}),
+            (["sample-size"], {"--a": "5", "--epsilon": "0.5", "--delta": "0.5"}),
             (embed, {"--T": "3", "--t-min": "1", "--M": "3", "--alpha": "0.5",
                      "--hash": "auto", "--vocab-scope": "train", "--seed": "0"}),
             (embed, {"--T": "3", "--epsilon": "0.5", "--delta": "0.5", "--a-override": "5"}),
-            (["kernel"] + scored, {"--kind": "rbf", "--gamma": "1", "--seed": "0"}),
-            (["knn"] + scored, {"--k": "1", "--kind": "rbf", "--gamma": "1", "--seed": "0"}),
-            (["audit"], {"--hash": "degree", "--t": "3", "--seed": "0"}),
-            (["rho", "--system-ranks", ranks, "--truth-ranks", ranks], {"--seed": "0"})):
+            (["kernel"] + scored, {"--kind": "rbf", "--gamma": "1"}),
+            (["knn"] + scored, {"--k": "1", "--kind": "rbf", "--gamma": "1"}),
+            (["audit"], {"--hash": "degree", "--t": "3"}),
+            (["rho", "--system-ranks", ranks, "--truth-ranks", ranks], {})):
         argv = head + [a for item in valid.items() for a in item]
         assert _check_run(argv, tmp_path / f"out{runs}", argv, capsys)[0] == 0, argv
         runs += 1
@@ -194,7 +196,7 @@ def test_hostile_option_values_exit_cleanly_and_leave_no_output(tmp_path, capsys
                                for a in (name, value if name == option else v)]
                 _check_run(argv, tmp_path / f"out{runs}", (option, value, argv[0]), capsys)
                 runs += 1
-    assert runs == 2 + 7 + 26 * len(HOSTILE_VALUES)
+    assert runs == 2 + 7 + 21 * len(HOSTILE_VALUES)
 
 
 def test_a_byte_that_is_not_utf8_names_its_line(tmp_path, capsys):
